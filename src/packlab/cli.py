@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -294,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("--mode-action", default="weights", choices=["weights", "mirrors"])
     pack.add_argument("--max-depth", type=int)
     pack.add_argument("--slack", help="pruning slack >= 1")
-    pack.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    pack.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; orbits run in one thread"
+    )
     pack.add_argument("--box", help="counting box lo...,hi... for unbounded packings")
     pack.add_argument("--out", help="spheres CSV path (default spheres.csv)")
     pack.add_argument("--counts", help="also write the counting curve CSV here")
@@ -331,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     surf.add_argument("--C", help="seed class coordinates")
     surf.add_argument("--H", help="distinguished class coordinates")
     surf.add_argument("--slack")
-    surf.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    surf.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; orbits run in one thread"
+    )
     surf.add_argument("--window-decades", type=float, default=2.0)
     surf.add_argument("--out", help="counting curve CSV path")
     surf.set_defaults(func=cmd_surface)

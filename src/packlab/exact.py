@@ -35,6 +35,18 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+def tight(x):
+    """Exact value with integral entries as plain ints, for fast orbit arithmetic.
+
+    A scalar (anything ``rat`` reads) becomes an int or a Fraction; a
+    vector or matrix, as any nesting of iterables, becomes tuples of them.
+    """
+    if isinstance(x, (int, str, Fraction)):
+        x = rat(x)
+        return x.numerator if x.denominator == 1 else x
+    return tuple(map(tight, x))
+
+
 def vec(entries: Iterable) -> Vector:
     return tuple(rat(x) for x in entries)
 
@@ -78,10 +90,6 @@ def mat_vec(a: Matrix, v: Sequence) -> Vector:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v: Sequence, a: Matrix) -> Vector:
-    return mat_vec(transpose(a), v)
-
-
 def dot(v: Sequence, w: Sequence) -> Fraction:
     if len(v) != len(w):
         raise ValueError("length mismatch in dot")
@@ -91,10 +99,6 @@ def dot(v: Sequence, w: Sequence) -> Fraction:
 def mat_scale(a: Matrix, t) -> Matrix:
     t = rat(t)
     return tuple(tuple(t * x for x in row) for row in a)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def congruent(b: Matrix, g: Matrix) -> Matrix:

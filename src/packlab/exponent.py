@@ -52,7 +52,7 @@ class CountCurve:
         rows = [ln.strip() for ln in text.splitlines() if ln.strip()]
         truncated = False
         while rows and rows[0].startswith("#"):
-            if "truncated" in rows[0]:
+            if rows[0] == "# truncated":  # the marker to_csv writes
                 truncated = True
             rows = rows[1:]
         if not rows or rows[0].replace(" ", "").upper() != "T,N":

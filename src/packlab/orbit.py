@@ -25,30 +25,21 @@ import json
 import math
 import os
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from . import exact
 from .coxeter import CoxeterPolytope
 from .errors import CheckpointError, DimensionError, PackingError, PreconditionError
-from .exact import Matrix, Vector, mat, rat, vec
+from .exact import Matrix, Vector, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_vector, vector_from_sphere
+from .walk import recheck, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
-
-
-def _tight(x):
-    """Fractions with denominator 1 become ints (faster orbit arithmetic)."""
-    x = rat(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _tight_vec(v) -> Column:
-    return tuple(_tight(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -142,15 +133,10 @@ class OrbitSystem:
         col_j -> col_j + row[j] * col_i for j != i and col_i -> -col_i.
         """
         g = self.polytope.gram
-        n = self.rank
-        out = []
-        for i in range(n):
-            if self.mode == "weights":
-                coeffs = [_tight((1 if k == i else 0) - 2 * g[k][i]) for k in range(n)]
-            else:
-                coeffs = [_tight(-2 * g[i][j]) for j in range(n)]
-            out.append(tuple(coeffs))
-        return tuple(out)
+        idx = range(self.rank)
+        if self.mode == "weights":
+            return tight([[int(k == i) - 2 * g[k][i] for k in idx] for i in idx])
+        return tight([[-2 * g[i][j] for j in idx] for i in idx])
 
 
 @dataclass(frozen=True)
@@ -253,7 +239,7 @@ def with_curvatures(cluster: Cluster, curvatures: Sequence) -> Cluster:
     equation); otherwise no Euclidean realization with these curvatures
     exists and a PackingError reports the residual.
     """
-    k = _tight_vec(curvatures)
+    k = tight(curvatures)
     if len(k) != cluster.rank:
         raise DimensionError(f"need {cluster.rank} curvatures, got {len(k)}")
     w = cluster.system.soddy_gram
@@ -289,7 +275,7 @@ def with_realization(cluster: Cluster, spheres: Sequence[EuclideanSphere]) -> Cl
                     f"inner product {got}, expected {want}"
                 )
     out = with_curvatures(cluster, tuple(v.coords[0] for v in vectors))
-    return replace(out, realization=tuple(_tight_vec(v.coords) for v in vectors))
+    return replace(out, realization=tight([v.coords for v in vectors]))
 
 
 def seed_cluster_from_curvatures(
@@ -344,28 +330,23 @@ def iter_clusters(
     max_depth: Optional[int] = None,
 ) -> Iterator[Cluster]:
     """Breadth-first reduced-word walk over distinct clusters, seed first."""
-    system = seed.system
-    tree = system.tree_safe
-    seen = {seed.cols}
-    queue = deque([(seed, -1, 0)])
+    rank = seed.system.rank
+
+    def expand(level):
+        children = [(apply_generator(c, i), i) for c, last in level for i in range(rank) if i != last]
+        return children, 0
+
+    key = None if seed.system.tree_safe else (lambda node: node[0].cols)
+    roots = [(seed, -1)]
     count = 0
-    while queue:
-        cluster, last, depth = queue.popleft()
-        yield cluster
-        count += 1
-        if max_count is not None and count >= max_count:
-            return
+    for depth, level in enumerate(chain([roots], walk(roots, expand, key))):
+        for cluster, _ in level:
+            yield cluster
+            count += 1
+            if max_count is not None and count >= max_count:
+                return
         if max_depth is not None and depth >= max_depth:
-            continue
-        for i in range(system.rank):
-            if i == last:
-                continue
-            child = apply_generator(cluster, i)
-            if not tree:
-                if child.cols in seen:
-                    continue
-                seen.add(child.cols)
-            queue.append((child, i, depth + 1))
+            return
 
 
 @dataclass(frozen=True)
@@ -401,39 +382,6 @@ class PackingOrbit:
 
     def euclidean_spheres(self) -> list[EuclideanSphere]:
         return [sphere_from_vector(v) for v in self.sphere_vectors()]
-
-
-def _expand_batch(args):
-    """Expand a batch of BFS nodes; pure function of its arguments.
-
-    Returns one record per reduced continuation: (child_cols, generator,
-    child_depth, fresh_sphere_columns, within_limit).
-    """
-    batch, gens, mode, rank, kseed, limit, slots, realization, box = args
-    out = []
-    for cols, last, depth in batch:
-        for i in range(rank):
-            if i == last:
-                continue
-            new_cols = _apply(cols, i, gens[i], mode)
-            if mode == "weights":
-                fresh = (new_cols[i],) if i in slots else ()
-            else:
-                fresh = new_cols
-            keep = True
-            if limit is not None and fresh:
-                curvs = [sum(a * b for a, b in zip(kseed, col)) for col in fresh]
-                if mode == "weights":
-                    keep = curvs[0] <= limit
-                else:
-                    keep = min(abs(k) for k in curvs) <= limit
-                if keep and box is not None:
-                    keep = any(
-                        k <= 0 or _in_box(_center(realization, col), box)
-                        for k, col in zip(curvs, fresh)
-                    )
-            out.append((new_cols, i, depth + 1, fresh, keep))
-    return out
 
 
 def _center(realization, col):
@@ -480,6 +428,8 @@ def enumerate_packing(
     rerun at doubled slack marks the result truncated if the two runs
     disagree below the bound.  depth_limited mode expands every reduced
     word up to max_depth and applies no pruning (bound optional there).
+    threads is accepted for compatibility: the walk runs in one thread,
+    and the value changes neither the work done nor the output.
     """
     system = seed.system
     if mode not in ("bounded", "depth_limited"):
@@ -507,79 +457,75 @@ def enumerate_packing(
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
     gens = system.generator_columns
     slots = frozenset(system.sphere_slots)
+    weights = system.mode == "weights"
     kseed = seed.curvature_seed
-    tree = system.tree_safe
 
-    def run(slack_factor, margin_factor=1) -> tuple[set, dict]:
-        limit = None if (bound is None or slack_factor is None) else bound * rat(slack_factor)
-        pruning_box = None if box is None else _grow_box(box, box_margin * margin_factor)
-        spheres: set[Column] = set()
-        for j in system.sphere_slots:
-            spheres.add(seed.cols[j])
-        cluster_seen = None if tree else {seed.cols}
-        frontier = deque()
-        if _resume is not None:
-            for col in _resume["spheres"]:
-                spheres.add(col)
-            for cols, last, depth in _resume["frontier"]:
-                frontier.append((cols, last, depth))
-                if cluster_seen is not None:
-                    cluster_seen.add(cols)
-        else:
-            frontier.append((seed.cols, -1, 0))
-        stats = {"expanded": 0, "pruned": 0, "max_frontier": len(frontier)}
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            while frontier:
-                stats["max_frontier"] = max(stats["max_frontier"], len(frontier))
-                batch = []
-                while frontier:
-                    node = frontier.popleft()
-                    if max_depth is not None and node[2] >= max_depth:
-                        stats["pruned"] += 1
-                        stats["depth_cut"] = stats.get("depth_cut", 0) + 1
+    def fresh(cols, i):
+        """Sphere columns that generator i just produced."""
+        if weights:
+            return (cols[i],) if i in slots else ()
+        return cols
+
+    def run(factor) -> tuple[set, dict]:
+        """One walk with the pruning slack and box margin scaled by factor."""
+        limit = None if mode == "depth_limited" else bound * rat(slack) * factor
+        pruning_box = None if box is None else _grow_box(box, box_margin * factor)
+        stats = {}
+
+        def expand(level):
+            children, pruned, cut = [], 0, 0
+            for cols, last, depth in level:
+                if max_depth is not None and depth >= max_depth:
+                    cut += 1
+                    continue
+                for i in range(system.rank):
+                    if i == last:
                         continue
-                    batch.append(node)
-                if not batch:
-                    break
-                args = (gens, system.mode, system.rank, kseed, limit, slots, seed.realization, pruning_box)
-                if pool is None:
-                    results = [_expand_batch((batch, *args))]
-                else:
-                    chunk = max(1, -(-len(batch) // threads))
-                    parts = [batch[i : i + chunk] for i in range(0, len(batch), chunk)]
-                    results = pool.map(_expand_batch, [(p, *args) for p in parts])
-                for part in results:
-                    for new_cols, i, depth, fresh, keep in part:
-                        stats["expanded"] += 1
-                        if (
-                            limit is not None
-                            and pruning_box is None
-                            and kseed is not None
-                            and any(_curv(kseed, col) == 0 for col in fresh)
-                        ):
-                            raise PackingError(
-                                "orbit reached a curvature-zero sphere: the packing is "
-                                "unbounded and curvature counts are infinite without a "
-                                "counting box; use depth_limited mode or supply a box"
-                            )
-                        if not keep:
-                            stats["pruned"] += 1
-                            continue
-                        if cluster_seen is not None:
-                            if new_cols in cluster_seen:
-                                continue
-                            cluster_seen.add(new_cols)
-                        spheres.update(fresh)
-                        frontier.append((new_cols, i, depth))
-                if max_vectors is not None and len(spheres) > max_vectors:
-                    path = _write_checkpoint(checkpoint_dir, system, spheres, frontier)
-                    raise CheckpointError(
-                        f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
+                    new_cols = _apply(cols, i, gens[i], system.mode)
+                    if limit is None or within(new_cols, i):
+                        children.append((new_cols, i, depth + 1))
+                    else:
+                        pruned += 1
+            if cut:
+                # depth-cut nodes count as pruned but were never expanded
+                stats["pruned"] += cut
+                stats["depth_cut"] = stats.get("depth_cut", 0) + cut
+            return children, pruned
+
+        def within(cols, i):
+            new = fresh(cols, i)
+            if not new:
+                return True
+            curvs = [_curv(kseed, col) for col in new]
+            if pruning_box is None and 0 in curvs:
+                raise PackingError(
+                    "orbit reached a curvature-zero sphere: the packing is "
+                    "unbounded and curvature counts are infinite without a "
+                    "counting box; use depth_limited mode or supply a box"
+                )
+            keep = (curvs[0] if weights else min(map(abs, curvs))) <= limit
+            if keep and pruning_box is not None:
+                keep = any(
+                    k <= 0 or _in_box(_center(seed.realization, col), pruning_box)
+                    for k, col in zip(curvs, new)
+                )
+            return keep
+
+        spheres = {seed.cols[j] for j in system.sphere_slots}
+        if _resume is not None:
+            spheres.update(_resume["spheres"])
+            roots = _resume["frontier"]
+        else:
+            roots = [(seed.cols, -1, 0)]
+        key = None if system.tree_safe else itemgetter(0)
+        for level in walk(roots, expand, key, stats):
+            for cols, last, _ in level:
+                spheres.update(fresh(cols, last))
+            if max_vectors is not None and len(spheres) > max_vectors:
+                path = _write_checkpoint(checkpoint_dir, system, spheres, level)
+                raise CheckpointError(
+                    f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
+                )
         return spheres, stats
 
     def below_bound(sphere_set):
@@ -588,24 +534,20 @@ def enumerate_packing(
             kept = {c for c in kept if _in_box(_center(seed.realization, c), box)}
         return kept
 
+    spheres, stats = run(1)
     if mode == "depth_limited":
-        spheres, stats = run(None)
         truncated = stats["pruned"] > 0
     else:
-        spheres, stats = run(slack)
         # a depth cap inside bounded mode hides part of the packing
-        truncated = stats.get("depth_cut", 0) > 0
+        truncated = "depth_cut" in stats
         if convergence_check:
-            wide, wide_stats = run(rat(slack) * 2, margin_factor=2)
-            stats["recheck_expanded"] = wide_stats["expanded"]
-            if below_bound(spheres) != below_bound(wide):
-                truncated = True
-                spheres = spheres | wide
+            spheres, missed = recheck(run, spheres, stats, below_bound)
+            truncated = truncated or missed
 
     if bound is not None and kseed is not None:
         seed_cols = {seed.cols[j] for j in system.sphere_slots}
         spheres = {c for c in spheres if c in seed_cols or c in below_bound({c})}
-    ordered = tuple(sorted(spheres, key=lambda c: tuple(map(Fraction, c))))
+    ordered = tuple(sorted(spheres))
     stats["mode"] = mode
     stats["slack"] = None if mode == "depth_limited" else str(slack)
     stats["threads"] = threads
@@ -677,7 +619,7 @@ def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier) -> str:
         fh.write(CHECKPOINT_MAGIC + "\n")
         fh.write(json.dumps(meta) + "\n")
         fh.write(f"S {len(spheres)}\n")
-        for col in sorted(spheres, key=lambda c: tuple(map(Fraction, c))):
+        for col in sorted(spheres):
             fh.write(_fmt_column(col) + "\n")
         fh.write(f"F {len(frontier)}\n")
         for cols, last, depth in frontier:
@@ -698,13 +640,13 @@ def load_checkpoint(path: str):
         spheres = []
         for _ in range(nsph):
             parts = fh.readline().split()
-            spheres.append(_tight_vec(parts[1 : 1 + int(parts[0])]))
+            spheres.append(tight(parts[1 : 1 + int(parts[0])]))
         nfr = int(fh.readline().split()[1])
         frontier = []
         for _ in range(nfr):
             parts = fh.readline().split()
             last, depth, ln = int(parts[0]), int(parts[1]), int(parts[2])
-            flat = _tight_vec(parts[3 : 3 + ln])
+            flat = tight(parts[3 : 3 + ln])
             cols = tuple(flat[i * rank : (i + 1) * rank] for i in range(ln // rank))
             frontier.append((cols, last, depth))
         return meta, spheres, frontier

@@ -22,17 +22,17 @@ Built-in models:
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional
 
 from . import exact
 from .errors import ConfigError, PreconditionError, TruncatedCurveError
-from .exact import Matrix, Vector, mat, rat, vec
+from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
+from .walk import recheck, walk
 
 
 @dataclass(frozen=True)
@@ -340,21 +340,6 @@ class OrbitCount:
         )
 
 
-def _int_matrix(a: Matrix):
-    return tuple(tuple(x.numerator if x.denominator == 1 else x for x in row) for row in a)
-
-
-def _surface_batch(args):
-    batch, gens, hrow, limit = args
-    out = []
-    for v in batch:
-        for a in gens:
-            w = tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
-            deg = abs(sum(h * x for h, x in zip(hrow, w)))
-            out.append((w, deg, deg <= limit))
-    return out
-
-
 def orbit_count(
     model: SurfaceModel,
     bound,
@@ -371,7 +356,9 @@ def orbit_count(
     branch is pruned once its degree exceeds slack * bound, and a rerun at
     doubled slack flags the count truncated if it disagrees.  A finite
     orbit (frontier exhausted with nothing pruned) is reported so callers
-    can refuse exponent estimates for elementary groups.
+    can refuse exponent estimates for elementary groups.  threads is
+    accepted for compatibility: the walk runs in one thread, and the value
+    changes neither the work done nor the output.
     """
     report = verify_model(model)
     if report.convention == "none":
@@ -385,73 +372,52 @@ def orbit_count(
         raise PreconditionError("slack must be >= 1")
     seed = vec(seed_class if seed_class is not None else model.seed_class)
     h = vec(ample if ample is not None else model.ample)
-    gens = [_int_matrix(a) for a in model.generators]
+    generators = model.generators
     if report.convention == "row":
-        gens = [_int_matrix(exact.transpose(a)) for a in model.generators]
-    hrow = tuple(
-        x.numerator if x.denominator == 1 else x
-        for x in exact.mat_vec(model.space.gram, h)
-    )
-    seed_t = tuple(x.numerator if x.denominator == 1 else x for x in seed)
+        generators = [exact.transpose(a) for a in generators]
+    gens = tight(generators)
+    hrow = tight(exact.mat_vec(model.space.gram, h))
+    seed_t = tight(seed)
+    d0 = abs(sum(a * b for a, b in zip(hrow, seed_t)))
 
-    def run(slack_factor):
-        limit = bound * rat(slack_factor)
-        seen = {seed_t}
-        collected = {}
-        d0 = abs(sum(a * b for a, b in zip(hrow, seed_t)))
-        if d0 <= bound:
-            collected[seed_t] = d0
-        pruned = 0
-        expanded = 0
-        if d0 <= limit:
-            frontier = deque([seed_t])
-        else:
-            frontier = deque()
-            pruned = 1
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-        try:
-            while frontier:
-                batch = []
-                while frontier:
-                    batch.append(frontier.popleft())
-                args = (gens, hrow, limit)
-                if pool is None:
-                    results = [_surface_batch((batch, *args))]
-                else:
-                    chunk = max(1, -(-len(batch) // threads))
-                    parts = [batch[i : i + chunk] for i in range(0, len(batch), chunk)]
-                    results = pool.map(_surface_batch, [(p, *args) for p in parts])
-                for part in results:
-                    for w, deg, keep in part:
-                        expanded += 1
-                        if w in seen:
-                            continue
-                        seen.add(w)
-                        if deg <= bound:
-                            collected[w] = deg
-                        if keep:
-                            frontier.append(w)
-                        else:
-                            pruned += 1
-                if len(seen) > max_nodes:
-                    raise PreconditionError(
-                        f"orbit search exceeded {max_nodes} nodes; raise max_nodes or lower the bound"
-                    )
-        finally:
-            if pool is not None:
-                pool.shutdown()
-        return collected, pruned, expanded
+    def run(factor):
+        """One walk with the pruning slack scaled by factor."""
+        limit = bound * rat(slack) * factor
 
-    collected, pruned, expanded = run(slack)
-    finite = pruned == 0
+        def expand(level):
+            children, pruned = [], 0
+            for v, _ in level:
+                for a in gens:
+                    w = tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
+                    deg = abs(sum(h * x for h, x in zip(hrow, w)))
+                    if deg <= limit:
+                        children.append((w, deg))
+                    else:
+                        pruned += 1
+            return children, pruned
+
+        collected = {seed_t: d0} if d0 <= bound else {}
+        stats = {}
+        reached = 1
+        for level in walk([(seed_t, d0)] if d0 <= limit else [], expand, itemgetter(0), stats):
+            for w, deg in level:
+                if deg <= bound:
+                    collected[w] = deg
+            reached += len(level)
+            if reached > max_nodes:
+                raise PreconditionError(
+                    f"orbit search exceeded {max_nodes} nodes; raise max_nodes or lower the bound"
+                )
+        if d0 > limit:
+            stats["pruned"] += 1
+        return collected, stats
+
+    collected, stats = run(1)
+    finite = stats["pruned"] == 0
     truncated = False
-    stats = {"expanded": expanded, "pruned": pruned, "threads": threads, "slack": str(slack)}
+    stats.update(threads=threads, slack=str(slack))
     if convergence_check and not finite:
-        wide, _, wide_expanded = run(rat(slack) * 2)
-        stats["recheck_expanded"] = wide_expanded
-        if set(wide) != set(collected):
-            truncated = True
-            collected = {**collected, **wide}
+        collected, truncated = recheck(run, collected, stats, dict.keys)
     degrees = tuple(sorted(collected.values()))
     return OrbitCount(
         model=model,

@@ -34,6 +34,14 @@ def test_csv_round_trip():
     assert back.ts == curve.ts and back.ns == curve.ns and back.truncated
 
 
+def test_csv_truncation_marker_only():
+    text = "# truncated: false\nT,N\n20,1\n30,2\n"
+    assert not CountCurve.from_csv(text).truncated
+    for flag in (False, True):
+        curve = counting_function([18, 23], [20, 30], truncated=flag)
+        assert CountCurve.from_csv(curve.to_csv()).truncated is flag
+
+
 def test_fit_power_law():
     ts = dyadic_grid(10, 10**4, factor=2**0.5)
     ns = [int(t**1.5) for t in ts]

@@ -77,6 +77,17 @@ def test_cluster_invariants_sampled():
             assert c.gram() == w
 
 
+def test_iter_clusters_max_depth():
+    # the gasket group is four involutions with no further relations, so
+    # depth d holds 4 * 3^(d-1) reduced words, all distinct clusters
+    seed = pl.packing_seed("apollonian2")
+    for d in range(6):
+        clusters = list(iter_clusters(seed, max_depth=d))
+        assert len(clusters) == 2 * 3**d - 1
+        assert len({c.cols for c in clusters}) == len(clusters)
+        assert clusters[0] is seed
+
+
 def test_mirror_orbit_invariant():
     seed = pl.packing_seed("ideal-triangle")
     for c in iter_clusters(seed, max_count=300):
