@@ -24,7 +24,7 @@ from . import catalog, exponent, lattices, orbit, surfaces
 from .coxeter import build_polytope, dual_polytope
 from .errors import ConfigError, PacklabError, PreconditionError, TruncatedCurveError
 from .exact import mat, rat, vec
-from .inversive import render_svg, sphere_from_vector
+from .inversive import EuclideanSphere, render_svg
 
 
 def _parse_rationals(text: str):
@@ -220,12 +220,7 @@ def cmd_surface(args) -> int:
                 fh.write(oc.curve().to_csv())
             print(f"counting curve -> {args.out}")
         if args.fit:
-            if oc.truncated:
-                raise TruncatedCurveError("orbit count truncated; refusing the fit")
-            if oc.finite_orbit:
-                raise PreconditionError("finite orbit: no exponent")
-            est = exponent.fit_exponent(oc.curve(), window_decades=args.window_decades)
-            print(est.report())
+            print(oc.estimate_exponent(window_decades=args.window_decades).report())
     return 0
 
 
@@ -242,26 +237,15 @@ def cmd_render(args) -> int:
             k = rat(parts[0])
             if k == 0:
                 continue
-            cx, cy = (Fraction(x).limit_denominator(10**12) for x in parts[1].split())
-            spheres.append(
-                sphere_from_vector(
-                    orbit_vector_for(k, (cx, cy))
-                )
-            )
+            center = [Fraction(x).limit_denominator(10**12) for x in parts[1].split()]
+            if len(center) != 2:
+                raise ConfigError(f"render needs 2 center coordinates, got {parts[1]!r}")
+            spheres.append(EuclideanSphere(kind="sphere", curvature=k, center=center))
     doc = render_svg(spheres, labels=args.labels)
     with open(args.out, "w") as fh:
         fh.write(doc)
     print(f"SVG -> {args.out}")
     return 0
-
-
-def orbit_vector_for(curvature, center):
-    """Normalized sphere vector of a circle given exactly."""
-    from .inversive import EuclideanSphere, vector_from_sphere
-
-    return vector_from_sphere(
-        EuclideanSphere(kind="sphere", curvature=curvature, center=center)
-    ).coords
 
 
 def cmd_dual(args) -> int:

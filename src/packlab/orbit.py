@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +37,7 @@ from .coxeter import CoxeterPolytope
 from .errors import CheckpointError, DimensionError, PackingError, PreconditionError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_vector, vector_from_sphere
-from .walk import recheck, walk
+from .walk import bounded_walk, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
 
@@ -145,7 +145,6 @@ class Cluster:
 
     system: OrbitSystem
     cols: tuple[Column, ...]
-    word: tuple[int, ...] = ()
     curvature_seed: Optional[Column] = None
     realization: Optional[tuple[Column, ...]] = None  # per-basis-vector sphere vectors
 
@@ -305,7 +304,7 @@ def apply_generator(cluster: Cluster, i: int) -> Cluster:
         raise IndexError(f"generator index {i} out of range")
     coeffs = system.generator_columns[i]
     new_cols = _apply(cluster.cols, i, coeffs, system.mode)
-    return replace(cluster, cols=new_cols, word=cluster.word + (i,))
+    return replace(cluster, cols=new_cols)
 
 
 def _apply(cols, i, coeffs, mode):
@@ -338,15 +337,8 @@ def iter_clusters(
 
     key = None if seed.system.tree_safe else (lambda node: node[0].cols)
     roots = [(seed, -1)]
-    count = 0
-    for depth, level in enumerate(chain([roots], walk(roots, expand, key))):
-        for cluster, _ in level:
-            yield cluster
-            count += 1
-            if max_count is not None and count >= max_count:
-                return
-        if max_depth is not None and depth >= max_depth:
-            return
+    levels = chain([roots], walk(roots, expand, key, max_depth=max_depth))
+    yield from islice((cluster for level in levels for cluster, _ in level), max_count)
 
 
 @dataclass(frozen=True)
@@ -427,13 +419,16 @@ def enumerate_packing(
     sphere it produced has curvature beyond slack * bound; a convergence
     rerun at doubled slack marks the result truncated if the two runs
     disagree below the bound.  depth_limited mode expands every reduced
-    word up to max_depth and applies no pruning (bound optional there).
+    word up to max_depth, which it requires, and applies no pruning (bound
+    optional there).
     threads is accepted for compatibility: the walk runs in one thread,
     and the value changes neither the work done nor the output.
     """
     system = seed.system
     if mode not in ("bounded", "depth_limited"):
         raise PreconditionError(f"unknown enumeration mode {mode!r}")
+    if mode == "depth_limited" and max_depth is None:
+        raise PreconditionError("depth_limited enumeration needs max_depth")
     if mode == "bounded":
         if bound is None:
             raise PreconditionError("bounded enumeration needs a curvature bound")
@@ -450,15 +445,21 @@ def enumerate_packing(
             raise PackingError("box counting needs a seed with exact geometry")
         if slack is None:
             slack = default_slack(system)
-        if rat(slack) < 1:
-            raise PreconditionError("slack must be >= 1")
     bound = None if bound is None else rat(bound)
     if box is not None:
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
+        if not len(box[0]) == len(box[1]) == system.polytope.n:
+            raise PreconditionError(
+                f"a counting box needs {system.polytope.n} coordinates per corner, "
+                f"got {len(box[0])} and {len(box[1])}"
+            )
     gens = system.generator_columns
     slots = frozenset(system.sphere_slots)
     weights = system.mode == "weights"
     kseed = seed.curvature_seed
+    seed_spheres = {seed.cols[j] for j in system.sphere_slots}
+    # a resumed run starts from the checkpoint's spheres and frontier level
+    resumed, roots, start = _resume or ((), [(seed.cols, -1)], 0)
 
     def fresh(cols, i):
         """Sphere columns that generator i just produced."""
@@ -466,67 +467,52 @@ def enumerate_packing(
             return (cols[i],) if i in slots else ()
         return cols
 
-    def run(factor) -> tuple[set, dict]:
-        """One walk with the pruning slack and box margin scaled by factor."""
-        limit = None if mode == "depth_limited" else bound * rat(slack) * factor
+    def within(cols, i, limit, pruning_box):
+        new = fresh(cols, i)
+        if not new:
+            return True
+        curvs = [_curv(kseed, col) for col in new]
+        if pruning_box is None and 0 in curvs:
+            raise PackingError(
+                "orbit reached a curvature-zero sphere: the packing is "
+                "unbounded and curvature counts are infinite without a "
+                "counting box; use depth_limited mode or supply a box"
+            )
+        keep = (curvs[0] if weights else min(map(abs, curvs))) <= limit
+        if keep and pruning_box is not None:
+            keep = any(
+                k <= 0 or _in_box(_center(seed.realization, col), pruning_box)
+                for k, col in zip(curvs, new)
+            )
+        return keep
+
+    def expand(level, limit, factor):
+        """Children of one level; the box margin grows with the slack factor."""
         pruning_box = None if box is None else _grow_box(box, box_margin * factor)
-        stats = {}
-
-        def expand(level):
-            children, pruned, cut = [], 0, 0
-            for cols, last, depth in level:
-                if max_depth is not None and depth >= max_depth:
-                    cut += 1
+        children, pruned = [], 0
+        for cols, last in level:
+            for i in range(system.rank):
+                if i == last:
                     continue
-                for i in range(system.rank):
-                    if i == last:
-                        continue
-                    new_cols = _apply(cols, i, gens[i], system.mode)
-                    if limit is None or within(new_cols, i):
-                        children.append((new_cols, i, depth + 1))
-                    else:
-                        pruned += 1
-            if cut:
-                # depth-cut nodes count as pruned but were never expanded
-                stats["pruned"] += cut
-                stats["depth_cut"] = stats.get("depth_cut", 0) + cut
-            return children, pruned
+                new_cols = _apply(cols, i, gens[i], system.mode)
+                if limit is None or within(new_cols, i, limit, pruning_box):
+                    children.append((new_cols, i))
+                else:
+                    pruned += 1
+        return children, pruned
 
-        def within(cols, i):
-            new = fresh(cols, i)
-            if not new:
-                return True
-            curvs = [_curv(kseed, col) for col in new]
-            if pruning_box is None and 0 in curvs:
-                raise PackingError(
-                    "orbit reached a curvature-zero sphere: the packing is "
-                    "unbounded and curvature counts are infinite without a "
-                    "counting box; use depth_limited mode or supply a box"
-                )
-            keep = (curvs[0] if weights else min(map(abs, curvs))) <= limit
-            if keep and pruning_box is not None:
-                keep = any(
-                    k <= 0 or _in_box(_center(seed.realization, col), pruning_box)
-                    for k, col in zip(curvs, new)
-                )
-            return keep
-
-        spheres = {seed.cols[j] for j in system.sphere_slots}
-        if _resume is not None:
-            spheres.update(_resume["spheres"])
-            roots = _resume["frontier"]
-        else:
-            roots = [(seed.cols, -1, 0)]
+    def run(walk_pass, _limit) -> set:
+        spheres = seed_spheres.union(resumed)
         key = None if system.tree_safe else itemgetter(0)
-        for level in walk(roots, expand, key, stats):
-            for cols, last, _ in level:
+        for depth, level in enumerate(walk_pass(roots, expand, key, start), start + 1):
+            for cols, last in level:
                 spheres.update(fresh(cols, last))
             if max_vectors is not None and len(spheres) > max_vectors:
-                path = _write_checkpoint(checkpoint_dir, system, spheres, level)
+                path = _write_checkpoint(checkpoint_dir, system, spheres, level, depth)
                 raise CheckpointError(
                     f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
                 )
-        return spheres, stats
+        return spheres
 
     def below_bound(sphere_set):
         kept = {c for c in sphere_set if 0 < _curv(kseed, c) <= bound}
@@ -534,22 +520,14 @@ def enumerate_packing(
             kept = {c for c in kept if _in_box(_center(seed.realization, c), box)}
         return kept
 
-    spheres, stats = run(1)
-    if mode == "depth_limited":
-        truncated = stats["pruned"] > 0
-    else:
-        # a depth cap inside bounded mode hides part of the packing
-        truncated = "depth_cut" in stats
-        if convergence_check:
-            spheres, missed = recheck(run, spheres, stats, below_bound)
-            truncated = truncated or missed
-
+    pruning_bound = bound if mode == "bounded" else None
+    spheres, stats, truncated = bounded_walk(
+        run, pruning_bound, slack, below_bound, max_depth, convergence_check
+    )
     if bound is not None and kseed is not None:
-        seed_cols = {seed.cols[j] for j in system.sphere_slots}
-        spheres = {c for c in spheres if c in seed_cols or c in below_bound({c})}
+        spheres = below_bound(spheres) | seed_spheres
     ordered = tuple(sorted(spheres))
     stats["mode"] = mode
-    stats["slack"] = None if mode == "depth_limited" else str(slack)
     stats["threads"] = threads
     if box is not None:
         stats["box"] = [[str(x) for x in box[0]], [str(x) for x in box[1]]]
@@ -610,7 +588,7 @@ def _fmt_column(col) -> str:
     return f"{len(col)} " + " ".join(str(Fraction(x)) for x in col)
 
 
-def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier) -> str:
+def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier, depth) -> str:
     directory = directory or os.environ.get("PACKLAB_CHECKPOINT_DIR") or "."
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"packlab-checkpoint-{os.getpid()}-{time.time_ns()}.txt")
@@ -622,7 +600,7 @@ def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier) -> str:
         for col in sorted(spheres):
             fh.write(_fmt_column(col) + "\n")
         fh.write(f"F {len(frontier)}\n")
-        for cols, last, depth in frontier:
+        for cols, last in frontier:
             flat = [x for col in cols for x in col]
             fh.write(f"{last} {depth} " + _fmt_column(flat) + "\n")
     return path
@@ -662,6 +640,6 @@ def resume_enumeration(seed: Cluster, path: str, **kwargs) -> PackingOrbit:
     meta, spheres, frontier = load_checkpoint(path)
     if meta["rank"] != seed.system.rank or meta["mode"] != seed.system.mode:
         raise PreconditionError("checkpoint does not match this cluster system")
-    return enumerate_packing(
-        seed, _resume={"spheres": spheres, "frontier": frontier}, **kwargs
-    )
+    roots = [(cols, last) for cols, last, _ in frontier]
+    depth = frontier[0][2] if frontier else 0  # the writer stores a single level
+    return enumerate_packing(seed, _resume=(spheres, roots, depth), **kwargs)

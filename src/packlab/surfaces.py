@@ -32,7 +32,7 @@ from .errors import ConfigError, PreconditionError, TruncatedCurveError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
-from .walk import recheck, walk
+from .walk import bounded_walk
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,20 @@ class OrbitCount:
             meta={"model": self.model.name, "stats": dict(self.stats)},
         )
 
+    def estimate_exponent(
+        self, window_decades: float = 2.0, grid_factor: float = 2.0 ** 0.5
+    ) -> ExponentEstimate:
+        """Log-log exponent fit of this counting curve.
+
+        Refuses truncated counts (the convergence check failed) and finite
+        orbits (the group is elementary, where no power law exists).
+        """
+        if self.truncated:
+            raise TruncatedCurveError("orbit count is truncated; enlarge slack or bound")
+        if self.finite_orbit:
+            raise PreconditionError("finite orbit (elementary group): no counting exponent exists")
+        return fit_exponent(self.curve(grid_factor=grid_factor), window_decades=window_decades)
+
 
 def orbit_count(
     model: SurfaceModel,
@@ -368,8 +382,6 @@ def orbit_count(
     bound = rat(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
-    if rat(slack) < 1:
-        raise PreconditionError("slack must be >= 1")
     seed = vec(seed_class if seed_class is not None else model.seed_class)
     h = vec(ample if ample is not None else model.ample)
     generators = model.generators
@@ -380,26 +392,24 @@ def orbit_count(
     seed_t = tight(seed)
     d0 = abs(sum(a * b for a, b in zip(hrow, seed_t)))
 
-    def run(factor):
-        """One walk with the pruning slack scaled by factor."""
-        limit = bound * rat(slack) * factor
+    def expand(level, limit, _factor):
+        children, pruned = [], 0
+        for v, _ in level:
+            for a in gens:
+                w = tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
+                deg = abs(sum(h * x for h, x in zip(hrow, w)))
+                if deg <= limit:
+                    children.append((w, deg))
+                else:
+                    pruned += 1
+        return children, pruned
 
-        def expand(level):
-            children, pruned = [], 0
-            for v, _ in level:
-                for a in gens:
-                    w = tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
-                    deg = abs(sum(h * x for h, x in zip(hrow, w)))
-                    if deg <= limit:
-                        children.append((w, deg))
-                    else:
-                        pruned += 1
-            return children, pruned
-
+    def run(walk_pass, limit) -> dict:
         collected = {seed_t: d0} if d0 <= bound else {}
-        stats = {}
+        # a seed beyond the pruning limit is pruned before the walk starts
+        roots = [(seed_t, d0)] if d0 <= limit else []
         reached = 1
-        for level in walk([(seed_t, d0)] if d0 <= limit else [], expand, itemgetter(0), stats):
+        for level in walk_pass(roots, expand, itemgetter(0), pruned_roots=1 - len(roots)):
             for w, deg in level:
                 if deg <= bound:
                     collected[w] = deg
@@ -408,24 +418,19 @@ def orbit_count(
                 raise PreconditionError(
                     f"orbit search exceeded {max_nodes} nodes; raise max_nodes or lower the bound"
                 )
-        if d0 > limit:
-            stats["pruned"] += 1
-        return collected, stats
+        return collected
 
-    collected, stats = run(1)
-    finite = stats["pruned"] == 0
-    truncated = False
-    stats.update(threads=threads, slack=str(slack))
-    if convergence_check and not finite:
-        collected, truncated = recheck(run, collected, stats, dict.keys)
-    degrees = tuple(sorted(collected.values()))
+    collected, stats, truncated = bounded_walk(
+        run, bound, slack, dict.keys, check=convergence_check
+    )
+    stats["threads"] = threads
     return OrbitCount(
         model=model,
         seed_class=seed,
         bound=bound,
-        degrees=degrees,
+        degrees=tuple(sorted(collected.values())),
         truncated=truncated,
-        finite_orbit=finite,
+        finite_orbit=stats["pruned"] == 0,
         stats=stats,
     )
 
@@ -439,16 +444,7 @@ def estimate_surface_exponent(
     grid_factor: float = 2.0 ** 0.5,
     **orbit_kwargs,
 ) -> ExponentEstimate:
-    """Log-log exponent fit of the orbit counting curve N_T(H, C).
-
-    Refuses truncated counts (the convergence check failed) and finite
-    orbits (the group is elementary, where no power law exists).
-    """
+    """Log-log exponent fit of the orbit counting curve N_T(H, C); see
+    OrbitCount.estimate_exponent for the refusals."""
     oc = orbit_count(model, bound, seed_class=seed_class, ample=ample, **orbit_kwargs)
-    if oc.truncated:
-        raise TruncatedCurveError("orbit count is truncated; enlarge slack or bound")
-    if oc.finite_orbit:
-        raise PreconditionError(
-            "orbit is finite (elementary group): no counting exponent exists"
-        )
-    return fit_exponent(oc.curve(grid_factor=grid_factor), window_decades=window_decades)
+    return oc.estimate_exponent(window_decades=window_decades, grid_factor=grid_factor)

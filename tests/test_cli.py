@@ -1,6 +1,7 @@
 import json
 
 from packlab import cli
+from packlab.surfaces import builtin_model, estimate_surface_exponent
 
 
 def run(argv):
@@ -60,6 +61,14 @@ def test_pack_boyd_approximate_centers(tmp_path):
     out = tmp_path / "boyd.csv"
     assert run(["pack", "--catalog", "boyd", "--T", "50", "--out", str(out)]) == 0
     assert "curvature" in out.read_text()
+
+
+def test_pack_depth_limited_needs_max_depth(tmp_path, capsys):
+    out = tmp_path / "spheres.csv"
+    argv = ["pack", "--catalog", "apollonian2", "--mode", "depth_limited", "--T", "100"]
+    assert run(argv + ["--out", str(out)]) == 3
+    assert "max_depth" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_roundtrip(tmp_path, capsys):
@@ -142,6 +151,12 @@ def test_surface_count_and_fit(tmp_path, capsys):
     assert out.read_text().startswith("T,N")
 
 
+def test_surface_fit_matches_library(capsys):
+    assert run(["surface", "--model", "baragar_p2p2", "--count", "--fit", "--T", "1000000"]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    assert printed == estimate_surface_exponent(builtin_model("baragar_p2p2"), 10**6).report()
+
+
 def test_surface_triangle(capsys):
     code = run(
         ["surface", "--model", "triangle", "--a", "1", "--b", "1", "--c", "1", "--count", "--T", "100"]
@@ -160,6 +175,15 @@ def test_render(tmp_path):
     out = tmp_path / "out.svg"
     assert run(["render", "--spheres", str(spheres), "--out", str(out), "--labels"]) == 0
     assert "<circle" in out.read_text()
+
+
+def test_render_refuses_non_planar_csv(tmp_path, capsys):
+    spheres = tmp_path / "spheres.csv"
+    assert run(["pack", "--catalog", "apollonian3", "--T", "10", "--out", str(spheres)]) == 0
+    out = tmp_path / "out.svg"
+    assert run(["render", "--spheres", str(spheres), "--out", str(out)]) == 2
+    assert "needs 2 center coordinates" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dual(capsys):

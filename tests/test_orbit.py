@@ -5,7 +5,7 @@ import pytest
 
 import packlab as pl
 from packlab import catalog, exact
-from packlab.errors import CheckpointError, PackingError
+from packlab.errors import CheckpointError, PackingError, PreconditionError
 from packlab.inversive import EuclideanSphere
 from packlab.orbit import (
     apply_generator,
@@ -157,6 +157,18 @@ def test_unbounded_needs_box():
     ks = orb.positive_curvatures()
     assert ks and min(ks) == 1
     assert "box" in orb.stats
+
+
+def test_box_needs_n_coordinates_per_corner():
+    band = catalog.band_seed()  # circles: centers have 2 coordinates
+    for box in (((-3,), (3, 3)), ((-3, -1, 0), (3, 3, 0)), ((-3, -1), (3, 3, 0))):
+        with pytest.raises(PreconditionError, match="2 coordinates per corner"):
+            enumerate_packing(band, bound=20, box=box)
+
+
+def test_depth_limited_needs_max_depth(apollonian_seed):
+    with pytest.raises(PreconditionError, match="max_depth"):
+        enumerate_packing(apollonian_seed, bound=100, mode="depth_limited")
 
 
 def test_checkpoint_resume(tmp_path, apollonian_seed):
