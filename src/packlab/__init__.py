@@ -46,12 +46,10 @@ from .inversive import (
 )
 from .lattices import (
     DiscriminantGroup,
-    IntegralLattice,
     QuadraticLattice,
     discriminant_group,
     dual_exponent,
     dual_gram,
-    dual_lattice,
     even_sublattice,
     from_catalog,
     gram_in_basis,

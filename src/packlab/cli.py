@@ -101,7 +101,7 @@ def cmd_pack(args) -> int:
     result = orbit.enumerate_packing(
         seed,
         bound=rat(args.T) if args.T else None,
-        mode="depth_limited" if args.max_depth and not args.T else args.mode,
+        mode="depth_limited" if args.max_depth is not None and not args.T else args.mode,
         max_depth=args.max_depth,
         slack=rat(args.slack) if args.slack else None,
         threads=args.threads,

@@ -123,9 +123,9 @@ def build_polytope(gram) -> CoxeterPolytope:
     return CoxeterPolytope(mat(gram))
 
 
-def maxwell_level(gram, max_level: int = 2):
+def maxwell_level(gram):
     """Minimal l in {0, 1, 2} such that deleting any l vertices leaves a
-    positive semidefinite Gram matrix; None when no l <= max_level works.
+    positive semidefinite Gram matrix; None when no l <= 2 works.
 
     PSD is decided by the exact all-principal-minors criterion.
     """
@@ -133,7 +133,7 @@ def maxwell_level(gram, max_level: int = 2):
     if not exact.is_symmetric(g):
         raise PreconditionError("Gram matrix must be symmetric")
     n = len(g)
-    for level in range(0, max_level + 1):
+    for level in range(3):
         ok = True
         for keep in itertools.combinations(range(n), n - level):
             sub = tuple(tuple(g[i][j] for j in keep) for i in keep)

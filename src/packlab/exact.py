@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -60,10 +59,6 @@ def mat(rows: Iterable[Iterable]) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -214,6 +209,12 @@ def denominator_lcm(entries: Iterable[Fraction]) -> int:
     for x in entries:
         d = d * x.denominator // math.gcd(d, x.denominator)
     return d
+
+
+def cleared(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer rows and the least common denominator d with a = rows / d."""
+    d = denominator_lcm(x for row in a for x in row)
+    return tuple(tuple(int(x * d) for x in row) for row in a), d
 
 
 def sqrt_rational(q: Fraction):

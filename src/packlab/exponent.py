@@ -118,39 +118,34 @@ def counting_function(
     )
 
 
-def curve_from_orbit(orbit, grid=None, grid_factor: float = 2.0) -> CountCurve:
-    """Counting curve of an enumeration run (positive curvatures only)."""
+def curve_from_orbit(orbit) -> CountCurve:
+    """Counting curve of an enumeration run (positive curvatures only), on
+    the factor-2 grid from the least curvature to the bound."""
     ks = orbit.positive_curvatures()
     if not ks:
         raise PreconditionError("orbit has no bounded spheres to count")
     bound = orbit.curvature_bound
-    if grid is None:
-        grid = dyadic_grid(float(min(ks)), float(bound if bound is not None else max(ks)), grid_factor)
     return counting_function(
         ks,
-        grid,
+        dyadic_grid(float(min(ks)), float(bound if bound is not None else max(ks))),
         truncated=orbit.truncated,
         bound=bound,
         meta={"stats": dict(orbit.stats)},
     )
 
 
-def fit_exponent(
-    curve: CountCurve,
-    window_decades: float = 2.0,
-    window: Optional[tuple] = None,
-    min_points: int = 8,
-) -> ExponentEstimate:
+MIN_FIT_POINTS = 8
+
+
+def fit_exponent(curve: CountCurve, window_decades: float = 2.0) -> ExponentEstimate:
     """Least-squares slope of log N(t) versus log t.
 
-    The window defaults to the top ``window_decades`` decades of the grid.
-    Curves flagged truncated are refused whenever the window touches them,
+    The window is the top ``window_decades`` decades of the grid and must
+    hold at least MIN_FIT_POINTS points.  Truncated curves are refused,
     since missing spheres bias the slope; see TruncatedCurveError.
     """
-    if window is None:
-        hi = curve.ts[-1]
-        window = (hi / 10 ** window_decades, hi)
-    lo, hi = float(window[0]), float(window[1])
+    hi = float(curve.ts[-1])
+    lo = hi / 10**window_decades
     if curve.truncated:
         raise TruncatedCurveError(
             f"counting curve is truncated; refusing to fit over [{lo:.4g}, {hi:.4g}]"
@@ -160,9 +155,9 @@ def fit_exponent(
         if lo <= t <= hi and n >= 1:
             xs.append(math.log(t))
             ys.append(math.log(n))
-    if len(xs) < min_points:
+    if len(xs) < MIN_FIT_POINTS:
         raise PreconditionError(
-            f"only {len(xs)} usable points in window [{lo:.4g}, {hi:.4g}]; need {min_points}"
+            f"only {len(xs)} usable points in window [{lo:.4g}, {hi:.4g}]; need {MIN_FIT_POINTS}"
         )
     x = np.asarray(xs)
     y = np.asarray(ys)

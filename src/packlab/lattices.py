@@ -60,9 +60,6 @@ class QuadraticLattice:
         return f"QuadraticLattice({name}, rank {self.rank}, det {self.det})"
 
 
-IntegralLattice = QuadraticLattice  # integer-entried instances; checked where it matters
-
-
 def _require_integral(lat: QuadraticLattice, what: str) -> None:
     if not lat.is_integral:
         raise PreconditionError(f"{what} needs an integral lattice, got {lat!r}")
@@ -95,10 +92,6 @@ class DiscriminantGroup:
 def dual_gram(lat: QuadraticLattice) -> Matrix:
     """Gram matrix of the dual basis: the exact inverse Gram."""
     return exact.inverse(lat.gram)
-
-
-def dual_lattice(lat: QuadraticLattice) -> QuadraticLattice:
-    return QuadraticLattice(dual_gram(lat), label=f"{lat.label}^v" if lat.label else "")
 
 
 def rescale(lat: QuadraticLattice, t) -> QuadraticLattice:

@@ -24,8 +24,7 @@ class QuadraticSpace:
 
     Hyperbolic-geometry data uses signature (n+1, 1) (one negative
     eigenvalue); surface intersection lattices use (1, n).  The constructor
-    only enforces symmetry and nondegeneracy; use :meth:`require_signature`
-    where a particular inertia is a precondition.
+    only enforces symmetry and nondegeneracy.
     """
 
     gram: Matrix
@@ -46,13 +45,6 @@ class QuadraticSpace:
     def signature(self) -> tuple[int, int]:
         pos, neg, zero = exact.inertia(self.gram)
         return pos, neg
-
-    def require_signature(self, pos: int, neg: int) -> "QuadraticSpace":
-        if self.signature != (pos, neg):
-            raise SignatureError(
-                f"expected signature {(pos, neg)}, got {self.signature}"
-            )
-        return self
 
     def inner(self, v: Sequence, w: Sequence) -> Fraction:
         return inner(v, w, self)

@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 from . import exact
 from .coxeter import CoxeterPolytope
 from .errors import CheckpointError, DimensionError, PackingError, PreconditionError
-from .exact import Matrix, Vector, mat, rat, tight, vec
+from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_vector, vector_from_sphere
 from .walk import bounded_walk, walk
 
@@ -88,32 +88,20 @@ class OrbitSystem:
         return exact.mat_scale(self.basis_gram, 1 / self.weight_norm)
 
     @cached_property
-    def soddy_gram(self) -> Matrix:
-        """Matrix W with k^T W k = 0 for every cluster curvature vector.
+    def soddy_gram(self) -> tuple:
+        """Integer matrix W with k^T W k = 0 for every cluster curvature vector.
 
         Inverse of the normalized basis Gram, cleared to a primitive
         integer matrix.  In weights mode it is a positive multiple of the
         polytope Gram itself.
         """
-        w = exact.inverse(self.normalized_gram)
-        d = exact.denominator_lcm(x for row in w for x in row)
-        return exact.mat_scale(w, d)
+        return cleared(exact.inverse(self.normalized_gram))[0]
 
     @cached_property
     def scaled_bases(self) -> dict:
         """Integer-cleared basis Grams {normalized: (int rows, denominator)}
         so cluster Gram checks run on plain integers."""
-        out = {}
-        for normalized, base in ((True, self.normalized_gram), (False, self.basis_gram)):
-            d = exact.denominator_lcm(x for row in base for x in row)
-            rows = tuple(tuple(int(x * d) for x in row) for row in base)
-            out[normalized] = (rows, d)
-        return out
-
-    @cached_property
-    def soddy_int(self) -> tuple:
-        """soddy_gram as plain integer rows (it is integral by construction)."""
-        return tuple(tuple(int(x) for x in row) for row in self.soddy_gram)
+        return {True: cleared(self.normalized_gram), False: cleared(self.basis_gram)}
 
     @cached_property
     def tree_safe(self) -> bool:
@@ -146,7 +134,9 @@ class Cluster:
     system: OrbitSystem
     cols: tuple[Column, ...]
     curvature_seed: Optional[Column] = None
-    realization: Optional[tuple[Column, ...]] = None  # per-basis-vector sphere vectors
+    # exact geometry: integer rows, one per inversive coordinate over the
+    # basis, and their common denominator
+    realization: Optional[tuple[tuple[Column, ...], int]] = None
 
     @property
     def rank(self) -> int:
@@ -155,7 +145,7 @@ class Cluster:
     def curvature_of(self, col: Column) -> Fraction:
         if self.curvature_seed is None:
             raise PreconditionError("cluster has no curvature data attached")
-        return sum(a * b for a, b in zip(self.curvature_seed, col))
+        return dot(self.curvature_seed, col)
 
     @property
     def curvatures(self) -> Vector:
@@ -168,34 +158,20 @@ class Cluster:
         entry at the end), so integer orbits stay in integer arithmetic.
         """
         rows, d = self.system.scaled_bases[normalized]
-        n = self.rank
-        prods = [
-            tuple(sum(r[k] * c[k] for k in range(n)) for r in rows) for c in self.cols
-        ]
-        out = []
-        for ci in self.cols:
-            row = []
-            for j in range(self.rank):
-                s = sum(ci[r] * prods[j][r] for r in range(n))
-                row.append(Fraction(s, d) if isinstance(s, int) else s / d)
-            out.append(row)
-        return mat(out)
+        prods = [tuple(dot(r, c) for r in rows) for c in self.cols]
+        return mat([[Fraction(dot(ci, p), d) for p in prods] for ci in self.cols])
 
     def soddy_residual(self) -> Fraction:
         """k^T W k for the cluster curvature vector; zero on every orbit."""
-        w = self.system.soddy_int
         k = self.curvatures
-        n = len(k)
-        return sum(k[i] * sum(w[i][j] * k[j] for j in range(n)) for i in range(n))
+        return dot(k, [dot(row, k) for row in self.system.soddy_gram])
 
     def sphere_vector(self, col: Column) -> SphereVector:
+        """The column's exact inversive coordinates (norm-checked)."""
         if self.realization is None:
             raise PreconditionError("cluster has no exact realization attached")
-        coords = tuple(
-            sum(self.realization[k][r] * col[k] for k in range(len(col)))
-            for r in range(len(self.realization[0]))
-        )
-        return SphereVector(vec(coords))
+        rows, d = self.realization
+        return SphereVector(tuple(Fraction(dot(row, col), d) for row in rows))
 
     def euclidean_spheres(self) -> list[EuclideanSphere]:
         return [
@@ -274,7 +250,7 @@ def with_realization(cluster: Cluster, spheres: Sequence[EuclideanSphere]) -> Cl
                     f"inner product {got}, expected {want}"
                 )
     out = with_curvatures(cluster, tuple(v.coords[0] for v in vectors))
-    return replace(out, realization=tight([v.coords for v in vectors]))
+    return replace(out, realization=cleared(exact.transpose([v.coords for v in vectors])))
 
 
 def seed_cluster_from_curvatures(
@@ -376,17 +352,8 @@ class PackingOrbit:
         return [sphere_from_vector(v) for v in self.sphere_vectors()]
 
 
-def _center(realization, col):
-    s = [
-        sum(realization[k][r] * col[k] for k in range(len(col)))
-        for r in range(len(realization[0]))
-    ]
-    return [x / s[0] for x in s[1:-1]]
-
-
-def _in_box(center, box):
-    lo, hi = box
-    return all(a <= x <= b for x, a, b in zip(center, lo, hi))
+BOX_MARGIN = 4  # the pruning box is the counting box grown 4x (8x on the recheck)
+CERTIFY_PAIRS = 4000  # most pairs certify_integral samples
 
 
 def _grow_box(box, factor):
@@ -407,7 +374,6 @@ def enumerate_packing(
     threads: int = 1,
     convergence_check: bool = True,
     box=None,
-    box_margin: int = 4,
     max_vectors: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
     _resume=None,
@@ -420,7 +386,8 @@ def enumerate_packing(
     rerun at doubled slack marks the result truncated if the two runs
     disagree below the bound.  depth_limited mode expands every reduced
     word up to max_depth, which it requires, and applies no pruning (bound
-    optional there).
+    optional there).  With a box, a sphere (seed members of curvature > 0
+    included) is kept only when its exact center lies in the box.
     threads is accepted for compatibility: the walk runs in one thread,
     and the value changes neither the work done nor the output.
     """
@@ -461,6 +428,12 @@ def enumerate_packing(
     # a resumed run starts from the checkpoint's spheres and frontier level
     resumed, roots, start = _resume or ((), [(seed.cols, -1)], 0)
 
+    def in_box(col, region):
+        """Whether the exact center of a positive-curvature sphere is in the region."""
+        lo, hi = region
+        center = sphere_from_vector(seed.sphere_vector(col)).center
+        return all(a <= x <= b for x, a, b in zip(center, lo, hi))
+
     def fresh(cols, i):
         """Sphere columns that generator i just produced."""
         if weights:
@@ -471,7 +444,7 @@ def enumerate_packing(
         new = fresh(cols, i)
         if not new:
             return True
-        curvs = [_curv(kseed, col) for col in new]
+        curvs = [dot(kseed, col) for col in new]
         if pruning_box is None and 0 in curvs:
             raise PackingError(
                 "orbit reached a curvature-zero sphere: the packing is "
@@ -480,15 +453,12 @@ def enumerate_packing(
             )
         keep = (curvs[0] if weights else min(map(abs, curvs))) <= limit
         if keep and pruning_box is not None:
-            keep = any(
-                k <= 0 or _in_box(_center(seed.realization, col), pruning_box)
-                for k, col in zip(curvs, new)
-            )
+            keep = any(k <= 0 or in_box(col, pruning_box) for k, col in zip(curvs, new))
         return keep
 
     def expand(level, limit, factor):
         """Children of one level; the box margin grows with the slack factor."""
-        pruning_box = None if box is None else _grow_box(box, box_margin * factor)
+        pruning_box = None if box is None else _grow_box(box, BOX_MARGIN * factor)
         children, pruned = [], 0
         for cols, last in level:
             for i in range(system.rank):
@@ -515,9 +485,9 @@ def enumerate_packing(
         return spheres
 
     def below_bound(sphere_set):
-        kept = {c for c in sphere_set if 0 < _curv(kseed, c) <= bound}
+        kept = {c for c in sphere_set if 0 < dot(kseed, c) <= bound}
         if box is not None:
-            kept = {c for c in kept if _in_box(_center(seed.realization, c), box)}
+            kept = {c for c in kept if in_box(c, box)}
         return kept
 
     pruning_bound = bound if mode == "bounded" else None
@@ -525,7 +495,10 @@ def enumerate_packing(
         run, pruning_bound, slack, below_bound, max_depth, convergence_check
     )
     if bound is not None and kseed is not None:
-        spheres = below_bound(spheres) | seed_spheres
+        seeds_kept = {
+            c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c, box)
+        }
+        spheres = below_bound(spheres) | seeds_kept
     ordered = tuple(sorted(spheres))
     stats["mode"] = mode
     stats["threads"] = threads
@@ -535,10 +508,6 @@ def enumerate_packing(
     return PackingOrbit(
         seed=seed, spheres=ordered, curvature_bound=bound, truncated=truncated, stats=stats
     )
-
-
-def _curv(kseed, col) -> Fraction:
-    return sum(a * b for a, b in zip(kseed, col))
 
 
 def default_slack(system: OrbitSystem) -> Fraction:
@@ -553,14 +522,14 @@ def default_slack(system: OrbitSystem) -> Fraction:
     return Fraction(4)
 
 
-def certify_integral(orbit: PackingOrbit, sample_pairs: int = 4000):
+def certify_integral(orbit: PackingOrbit):
     """Check packing integrality: integer curvatures plus a common integer
     scale for pairwise inner products.
 
     Returns (integral, exponent, witness): exponent is the least positive
-    integer lambda with lambda * (v_i, v_j) integral over the sampled
-    pairs; when a curvature is non-integral, integral is False and the
-    witness is that curvature.
+    integer lambda with lambda * (v_i, v_j) integral over at most
+    CERTIFY_PAIRS evenly spaced pairs; when a curvature is non-integral,
+    integral is False and the witness is that curvature.
     """
     for c in orbit.curvatures:
         if rat(c).denominator != 1:
@@ -572,8 +541,8 @@ def certify_integral(orbit: PackingOrbit, sample_pairs: int = 4000):
         pairs = [(0, 0)]
     else:
         pairs = [(a, b) for a in range(len(cols)) for b in range(a, len(cols))]
-        if len(pairs) > sample_pairs:
-            step = len(pairs) // sample_pairs
+        if len(pairs) > CERTIFY_PAIRS:
+            step = len(pairs) // CERTIFY_PAIRS
             pairs = pairs[::step]
     for a, b in pairs:
         p = exact.dot(vec(cols[a]), exact.mat_vec(base, vec(cols[b])))

@@ -325,23 +325,20 @@ class OrbitCount:
     def count(self) -> int:
         return len(self.degrees)
 
-    def curve(self, grid=None, grid_factor: float = 2.0) -> CountCurve:
+    def curve(self) -> CountCurve:
+        """N(t) on the sqrt(2) grid from the least positive degree to the bound."""
         if not self.degrees:
             raise PreconditionError("empty orbit count has no curve")
         lo = float(min(d for d in self.degrees if d > 0))
-        if grid is None:
-            grid = dyadic_grid(lo, float(self.bound), grid_factor)
         return counting_function(
             self.degrees,
-            grid,
+            dyadic_grid(lo, float(self.bound), 2.0 ** 0.5),
             truncated=self.truncated,
             bound=self.bound,
             meta={"model": self.model.name, "stats": dict(self.stats)},
         )
 
-    def estimate_exponent(
-        self, window_decades: float = 2.0, grid_factor: float = 2.0 ** 0.5
-    ) -> ExponentEstimate:
+    def estimate_exponent(self, window_decades: float = 2.0) -> ExponentEstimate:
         """Log-log exponent fit of this counting curve.
 
         Refuses truncated counts (the convergence check failed) and finite
@@ -351,7 +348,7 @@ class OrbitCount:
             raise TruncatedCurveError("orbit count is truncated; enlarge slack or bound")
         if self.finite_orbit:
             raise PreconditionError("finite orbit (elementary group): no counting exponent exists")
-        return fit_exponent(self.curve(grid_factor=grid_factor), window_decades=window_decades)
+        return fit_exponent(self.curve(), window_decades=window_decades)
 
 
 def orbit_count(
@@ -441,10 +438,9 @@ def estimate_surface_exponent(
     seed_class=None,
     ample=None,
     window_decades: float = 2.0,
-    grid_factor: float = 2.0 ** 0.5,
     **orbit_kwargs,
 ) -> ExponentEstimate:
     """Log-log exponent fit of the orbit counting curve N_T(H, C); see
     OrbitCount.estimate_exponent for the refusals."""
     oc = orbit_count(model, bound, seed_class=seed_class, ample=ample, **orbit_kwargs)
-    return oc.estimate_exponent(window_decades=window_decades, grid_factor=grid_factor)
+    return oc.estimate_exponent(window_decades=window_decades)

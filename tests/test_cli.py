@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from packlab import cli
 from packlab.surfaces import builtin_model, estimate_surface_exponent
 
@@ -69,6 +71,15 @@ def test_pack_depth_limited_needs_max_depth(tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 3
     assert "max_depth" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pack_max_depth_zero(tmp_path, capsys):
+    out = tmp_path / "spheres.csv"
+    assert run(["pack", "--catalog", "apollonian2", "--max-depth", "0", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "4 spheres -> " in printed and "(truncated: True)" in printed
+    rows = out.read_text().splitlines()[1:]
+    assert sorted(int(r.split(",")[0]) for r in rows) == [-10, 18, 23, 27]
 
 
 def test_fit_roundtrip(tmp_path, capsys):
@@ -146,9 +157,16 @@ def test_surface_count_and_fit(tmp_path, capsys):
         ]
     )
     assert code == 0
-    txt = capsys.readouterr().out
-    assert "delta_hat" in txt
+    printed = capsys.readouterr().out.strip().splitlines()[-1]
+    assert "delta_hat" in printed
     assert out.read_text().startswith("T,N")
+    # the written curve is the one the printed exponent was fitted to
+    assert run(["fit", "--counts", str(out)]) == 0
+    report, result = capsys.readouterr().out.strip().splitlines()
+    assert report == printed
+    est = estimate_surface_exponent(builtin_model("baragar_p2p2"), 10**6)
+    assert json.loads(result)["points"] == est.points
+    assert json.loads(result)["delta_hat"] == pytest.approx(est.delta_hat, rel=1e-9)
 
 
 def test_surface_fit_matches_library(capsys):

@@ -159,6 +159,24 @@ def test_unbounded_needs_box():
     assert "box" in orb.stats
 
 
+def test_box_counts_are_exact():
+    band = catalog.band_seed()
+    for bound, stored, counted in ((60, 189, 187), (20, 45, 43)):
+        orb = enumerate_packing(band, bound=bound, box=((-3, -1), (3, 3)))
+        assert (len(orb.spheres), orb.count()) == (stored, counted)
+    # two k = 49 circles sit exactly on the right edge x = 10/7; the seed
+    # circle centred at (2, 1) lies beyond it and is not kept, the lines are
+    orb = enumerate_packing(band, bound=60, box=((-3, -1), (F(10, 7), 3)))
+    circles = [s for s in orb.euclidean_spheres() if s.kind == "sphere"]
+    assert sorted(s.center for s in circles if s.center[0] == F(10, 7)) == [
+        (F(10, 7), F(1, 49)),
+        (F(10, 7), F(97, 49)),
+    ]
+    assert all(s.center[0] <= F(10, 7) for s in circles)
+    assert sum(s.kind == "hyperplane" for s in orb.euclidean_spheres()) == 2
+    assert orb.count() == 142
+
+
 def test_box_needs_n_coordinates_per_corner():
     band = catalog.band_seed()  # circles: centers have 2 coordinates
     for box in (((-3,), (3, 3)), ((-3, -1, 0), (3, 3, 0)), ((-3, -1), (3, 3, 0))):
