@@ -2,8 +2,9 @@
 
 A packing containing curvature-zero members has infinitely many circles
 below any curvature bound, so counting is restricted to a box; the
-enumeration prunes on both curvature and (with a safety margin) circle
-centers, and the doubled-slack rerun guards the result.
+enumeration prunes on the curvature seen from a seed circle's center,
+which is bounded for every circle centred in the box, and the
+doubled-slack rerun guards the result.
 """
 
 import packlab as pl

@@ -210,6 +210,7 @@ def cmd_surface(args) -> int:
             ample=ample,
             slack=rat(args.slack) if args.slack else 4,
             threads=args.threads,
+            _report=report,
         )
         print(
             f"N_T = {oc.count} classes with degree <= {oc.bound} "

@@ -1,6 +1,9 @@
 """Exact breadth-first enumeration of reflection-group orbits of sphere clusters.
 
-Two actions are supported.
+Two actions are supported; each has a right action on clusters (the
+reduced-word walk of ``iter_clusters`` and depth-limited runs) and a left
+action on single sphere columns (bounded runs: a packing's spheres are the
+orbits of the seed spheres).
 
 * ``weights`` mode: clusters are tuples of (normalized) dual weights of a
   Coxeter polytope; wall reflection i changes exactly one cluster member,
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
 
 from . import exact
@@ -37,7 +40,7 @@ from .coxeter import CoxeterPolytope
 from .errors import CheckpointError, DimensionError, PackingError, PreconditionError
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_vector, vector_from_sphere
-from .walk import bounded_walk, walk
+from .walk import bounded_walk, vector_expand, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
 
@@ -98,18 +101,10 @@ class OrbitSystem:
         return cleared(exact.inverse(self.normalized_gram))[0]
 
     @cached_property
-    def scaled_bases(self) -> dict:
-        """Integer-cleared basis Grams {normalized: (int rows, denominator)}
-        so cluster Gram checks run on plain integers."""
-        return {True: cleared(self.normalized_gram), False: cleared(self.basis_gram)}
-
-    @cached_property
-    def tree_safe(self) -> bool:
-        """True when reduced words biject with clusters (no finite dihedral
-        relations): every off-diagonal entry of the group Gram is <= -1."""
-        g = self.group_gram
-        n = len(g)
-        return all(g[i][j] <= -1 for i in range(n) for j in range(n) if i != j)
+    def scaled_gram(self) -> tuple:
+        """The normalized basis Gram as (int rows, denominator), so cluster
+        Gram checks run on plain integers."""
+        return cleared(self.normalized_gram)
 
     @cached_property
     def generator_columns(self) -> tuple[tuple, ...]:
@@ -118,13 +113,35 @@ class OrbitSystem:
         weights mode: entry i is the vector a with
         new_col_i = sum_k a[k] * col_k, other columns unchanged.
         mirrors mode: entry i is the row (-2 g_ij)_j; generator i maps
-        col_j -> col_j + row[j] * col_i for j != i and col_i -> -col_i.
+        col_j -> col_j + row[j] * col_i, so col_i -> -col_i.
         """
         g = self.polytope.gram
         idx = range(self.rank)
         if self.mode == "weights":
             return tight([[int(k == i) - 2 * g[k][i] for k in idx] for i in idx])
         return tight([[-2 * g[i][j] for j in idx] for i in idx])
+
+    @cached_property
+    def left_generators(self) -> tuple:
+        """One callable per generator, acting on a single column from the left.
+
+        weights mode: the rank-1 update u - 2 u_i G[:, i].  mirrors mode:
+        slot i becomes -u_i - 2 sum_{j != i} g_ij u_j.
+        """
+
+        def weights(i, m):
+            def g(u):
+                ui = u[i]
+                return tuple([x + c * ui for x, c in zip(u, m)])
+
+            return g
+
+        def mirrors(i, row):
+            return lambda u: u[:i] + (u[i] + sum(map(mul, row, u)),) + u[i + 1 :]
+
+        make = weights if self.mode == "weights" else mirrors
+        g, idx = self.polytope.gram, range(self.rank)
+        return tuple(make(i, tight([-2 * g[k][i] for k in idx])) for i in idx)
 
 
 @dataclass(frozen=True)
@@ -151,13 +168,13 @@ class Cluster:
     def curvatures(self) -> Vector:
         return tuple(self.curvature_of(c) for c in self.cols)
 
-    def gram(self, normalized: bool = True) -> Matrix:
-        """Exact pairwise inner products of the cluster columns.
+    def gram(self) -> Matrix:
+        """Exact pairwise inner products of the normalized cluster columns.
 
         Computed over the integer-cleared basis Gram (one division per
         entry at the end), so integer orbits stay in integer arithmetic.
         """
-        rows, d = self.system.scaled_bases[normalized]
+        rows, d = self.system.scaled_gram
         prods = [tuple(dot(r, c) for r in rows) for c in self.cols]
         return mat([[Fraction(dot(ci, p), d) for p in prods] for ci in self.cols])
 
@@ -278,25 +295,26 @@ def apply_generator(cluster: Cluster, i: int) -> Cluster:
     system = cluster.system
     if not 0 <= i < system.rank:
         raise IndexError(f"generator index {i} out of range")
-    coeffs = system.generator_columns[i]
-    new_cols = _apply(cluster.cols, i, coeffs, system.mode)
-    return replace(cluster, cols=new_cols)
+    return replace(cluster, cols=_apply(cluster.cols, i, system.generator_columns[i], system.mode))
 
 
 def _apply(cols, i, coeffs, mode):
     if mode == "weights":
-        rank = len(cols)
-        new_col = tuple(
-            sum(coeffs[k] * cols[k][r] for k in range(rank)) for r in range(len(cols[0]))
-        )
-        return cols[:i] + (new_col,) + cols[i + 1 :]
-    ci = cols[i]
-    return tuple(
-        tuple(-x for x in ci)
-        if j == i
-        else tuple(x + coeffs[j] * y for x, y in zip(cols[j], ci))
-        for j in range(len(cols))
-    )
+        return cols[:i] + (tuple(sum(map(mul, coeffs, row)) for row in zip(*cols)),) + cols[i + 1 :]
+    return tuple(tuple(x + c * y for x, y in zip(col, cols[i])) for col, c in zip(cols, coeffs))
+
+
+def _word_levels(seed: Cluster, max_depth=None, stats=None):
+    """The unpruned reduced-word walk over distinct clusters: levels of (cols, last) nodes."""
+    gens, mode = seed.system.generator_columns, seed.system.mode
+
+    def expand(level):
+        children = [
+            (_apply(c, i, a, mode), i) for c, last in level for i, a in enumerate(gens) if i != last
+        ]
+        return children, 0
+
+    return walk([(seed.cols, -1)], expand, itemgetter(0), stats, max_depth)
 
 
 def iter_clusters(
@@ -305,16 +323,9 @@ def iter_clusters(
     max_depth: Optional[int] = None,
 ) -> Iterator[Cluster]:
     """Breadth-first reduced-word walk over distinct clusters, seed first."""
-    rank = seed.system.rank
-
-    def expand(level):
-        children = [(apply_generator(c, i), i) for c, last in level for i in range(rank) if i != last]
-        return children, 0
-
-    key = None if seed.system.tree_safe else (lambda node: node[0].cols)
-    roots = [(seed, -1)]
-    levels = chain([roots], walk(roots, expand, key, max_depth=max_depth))
-    yield from islice((cluster for level in levels for cluster, _ in level), max_count)
+    levels = _word_levels(seed, max_depth)
+    clusters = (replace(seed, cols=cols) for level in levels for cols, _ in level)
+    yield from islice(chain([seed], clusters), max_count)
 
 
 @dataclass(frozen=True)
@@ -352,17 +363,7 @@ class PackingOrbit:
         return [sphere_from_vector(v) for v in self.sphere_vectors()]
 
 
-BOX_MARGIN = 4  # the pruning box is the counting box grown 4x (8x on the recheck)
 CERTIFY_PAIRS = 4000  # most pairs certify_integral samples
-
-
-def _grow_box(box, factor):
-    lo, hi = box
-    pads = [(b - a) * (factor - 1) / 2 for a, b in zip(lo, hi)]
-    return (
-        tuple(a - p for a, p in zip(lo, pads)),
-        tuple(b + p for b, p in zip(hi, pads)),
-    )
 
 
 def enumerate_packing(
@@ -380,22 +381,29 @@ def enumerate_packing(
 ) -> PackingOrbit:
     """Collect the distinct spheres of the packing generated by the seed.
 
-    bounded mode keeps spheres with 0 < curvature <= bound (plus every
-    seed member regardless of sign) and prunes a branch as soon as the
-    sphere it produced has curvature beyond slack * bound; a convergence
-    rerun at doubled slack marks the result truncated if the two runs
-    disagree below the bound.  depth_limited mode expands every reduced
-    word up to max_depth, which it requires, and applies no pruning (bound
-    optional there).  With a box, a sphere (seed members of curvature > 0
-    included) is kept only when its exact center lies in the box.
-    threads is accepted for compatibility: the walk runs in one thread,
-    and the value changes neither the work done nor the output.
+    bounded mode walks the orbits of the seed spheres, one sphere per node,
+    and keeps spheres with 0 < curvature <= bound plus every seed member.
+    It prunes a sphere whose height exceeds slack times the height bound;
+    a rerun at doubled slack marks the result truncated if the two runs
+    disagree below the bound.  The height is |curvature|; with a box it is
+    the curvature seen from p, the center of the first seed sphere of
+    positive curvature, at most bound * D^2 for a sphere centred in the
+    box (D: the farthest box corner from p).  depth_limited mode expands
+    every reduced word up to max_depth, which it requires, without pruning;
+    a sphere's walk level is the depth at which that walk creates it, so
+    max_depth means the same in both modes.  With a box, a sphere (seed
+    members of curvature > 0 included) is kept only when its exact center
+    lies in the box.  Checkpoints (max_vectors) are for bounded runs.
+    threads is accepted for compatibility and changes nothing: the walk
+    runs in one thread.
     """
     system = seed.system
     if mode not in ("bounded", "depth_limited"):
         raise PreconditionError(f"unknown enumeration mode {mode!r}")
     if mode == "depth_limited" and max_depth is None:
         raise PreconditionError("depth_limited enumeration needs max_depth")
+    if mode == "depth_limited" and (max_vectors is not None or _resume is not None):
+        raise PreconditionError("checkpoints hold bounded sphere walks, not depth_limited runs")
     if mode == "bounded":
         if bound is None:
             raise PreconditionError("bounded enumeration needs a curvature bound")
@@ -420,88 +428,75 @@ def enumerate_packing(
                 f"a counting box needs {system.polytope.n} coordinates per corner, "
                 f"got {len(box[0])} and {len(box[1])}"
             )
-    gens = system.generator_columns
-    slots = frozenset(system.sphere_slots)
-    weights = system.mode == "weights"
     kseed = seed.curvature_seed
-    seed_spheres = {seed.cols[j] for j in system.sphere_slots}
-    # a resumed run starts from the checkpoint's spheres and frontier level
-    resumed, roots, start = _resume or ((), [(seed.cols, -1)], 0)
+    seed_spheres = [seed.cols[j] for j in system.sphere_slots]
+    centred = {}  # exact box membership, computed once per column
 
-    def in_box(col, region):
-        """Whether the exact center of a positive-curvature sphere is in the region."""
-        lo, hi = region
-        center = sphere_from_vector(seed.sphere_vector(col)).center
-        return all(a <= x <= b for x, a, b in zip(center, lo, hi))
-
-    def fresh(cols, i):
-        """Sphere columns that generator i just produced."""
-        if weights:
-            return (cols[i],) if i in slots else ()
-        return cols
-
-    def within(cols, i, limit, pruning_box):
-        new = fresh(cols, i)
-        if not new:
-            return True
-        curvs = [dot(kseed, col) for col in new]
-        if pruning_box is None and 0 in curvs:
-            raise PackingError(
-                "orbit reached a curvature-zero sphere: the packing is "
-                "unbounded and curvature counts are infinite without a "
-                "counting box; use depth_limited mode or supply a box"
-            )
-        keep = (curvs[0] if weights else min(map(abs, curvs))) <= limit
-        if keep and pruning_box is not None:
-            keep = any(k <= 0 or in_box(col, pruning_box) for k, col in zip(curvs, new))
-        return keep
-
-    def expand(level, limit, factor):
-        """Children of one level; the box margin grows with the slack factor."""
-        pruning_box = None if box is None else _grow_box(box, BOX_MARGIN * factor)
-        children, pruned = [], 0
-        for cols, last in level:
-            for i in range(system.rank):
-                if i == last:
-                    continue
-                new_cols = _apply(cols, i, gens[i], system.mode)
-                if limit is None or within(new_cols, i, limit, pruning_box):
-                    children.append((new_cols, i))
-                else:
-                    pruned += 1
-        return children, pruned
-
-    def run(walk_pass, _limit) -> set:
-        spheres = seed_spheres.union(resumed)
-        key = None if system.tree_safe else itemgetter(0)
-        for depth, level in enumerate(walk_pass(roots, expand, key, start), start + 1):
-            for cols, last in level:
-                spheres.update(fresh(cols, last))
-            if max_vectors is not None and len(spheres) > max_vectors:
-                path = _write_checkpoint(checkpoint_dir, system, spheres, level, depth)
-                raise CheckpointError(
-                    f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
-                )
-        return spheres
+    def in_box(col):
+        if col not in centred:
+            center = sphere_from_vector(seed.sphere_vector(col)).center
+            centred[col] = all(a <= x <= b for x, a, b in zip(center, *box))
+        return centred[col]
 
     def below_bound(sphere_set):
         kept = {c for c in sphere_set if 0 < dot(kseed, c) <= bound}
-        if box is not None:
-            kept = {c for c in kept if in_box(c, box)}
-        return kept
+        return kept if box is None else set(filter(in_box, kept))
 
-    pruning_bound = bound if mode == "bounded" else None
-    spheres, stats, truncated = bounded_walk(
-        run, pruning_bound, slack, below_bound, max_depth, convergence_check
-    )
+    if mode == "depth_limited":
+        stats, spheres, slots = {"slack": None}, set(seed_spheres), system.sphere_slots
+        for level in _word_levels(seed, max_depth, stats):
+            for cols, last in level:
+                if last in slots:  # the sphere columns that the last generator produced
+                    spheres.update(cols if system.mode == "mirrors" else [cols[last]])
+        truncated = "depth_cut" in stats
+    else:
+        row, scale = kseed, 1
+        if box is not None:
+            seeds = seed.euclidean_spheres()
+            p = next(c.center for c in seeds if c.kind == "sphere" and c.curvature > 0)
+            # k|c - p|^2 - 1/k = a0|p|^2 - 2 a.p - 2 a_{n+1} is linear in the
+            # inversive coordinates a: one integer row over the basis
+            form = (sum(x * x for x in p),) + tuple(-2 * x for x in p) + (-2,)
+            rows, d = seed.realization
+            (row,), e = cleared([[dot(form, col) for col in zip(*rows)]])
+            scale = e * d * sum(max((a - x) ** 2, (b - x) ** 2) for x, a, b in zip(p, *box))
+        expand = vector_expand(system.left_generators, row)
+        # a resumed run starts from the checkpoint's spheres and frontier level
+        resumed, frontier, start = _resume or ((), seed_spheres, 0)
+        if resumed:
+            walked, resumed = expand, frozenset(resumed)
+
+            def expand(level, limit, factor):  # skip the spheres walked before the checkpoint
+                children, pruned = walked(level, limit, factor)
+                return [c for c in children if c[0] not in resumed], pruned
+
+        def run(walk_pass, _limit) -> set:
+            spheres = set(resumed).union(seed_spheres)
+            roots = [(u, abs(dot(row, u))) for u in frontier]
+            levels = walk_pass(roots, expand, itemgetter(0), start)
+            for depth, level in enumerate(levels, start + 1):
+                if box is None and not all(map(itemgetter(1), level)):
+                    raise PackingError(
+                        "orbit reached a curvature-zero sphere: the packing is "
+                        "unbounded and curvature counts are infinite without a "
+                        "counting box; use depth_limited mode or supply a box"
+                    )
+                spheres.update(map(itemgetter(0), level))
+                if max_vectors is not None and len(spheres) > max_vectors:
+                    path = _write_checkpoint(checkpoint_dir, system, spheres, level, depth)
+                    raise CheckpointError(
+                        f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
+                    )
+            return spheres
+
+        spheres, stats, truncated = bounded_walk(
+            run, bound * scale, slack, below_bound, max_depth, convergence_check
+        )
     if bound is not None and kseed is not None:
-        seeds_kept = {
-            c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c, box)
-        }
+        seeds_kept = {c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c)}
         spheres = below_bound(spheres) | seeds_kept
     ordered = tuple(sorted(spheres))
-    stats["mode"] = mode
-    stats["threads"] = threads
+    stats.update(mode=mode, threads=threads)
     if box is not None:
         stats["box"] = [[str(x) for x in box[0]], [str(x) for x in box[1]]]
         stats["box_note"] = "counts restricted to sphere centers inside the box"
@@ -550,11 +545,7 @@ def certify_integral(orbit: PackingOrbit):
     return True, lam, None
 
 
-CHECKPOINT_MAGIC = "PACKLAB-CHECKPOINT v1"
-
-
-def _fmt_column(col) -> str:
-    return f"{len(col)} " + " ".join(str(Fraction(x)) for x in col)
+CHECKPOINT_MAGIC = "PACKLAB-CHECKPOINT v2"  # v1 files held cluster frontiers
 
 
 def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier, depth) -> str:
@@ -563,52 +554,41 @@ def _write_checkpoint(directory, system: OrbitSystem, spheres, frontier, depth) 
     path = os.path.join(directory, f"packlab-checkpoint-{os.getpid()}-{time.time_ns()}.txt")
     meta = {"mode": system.mode, "rank": system.rank}
     with open(path, "w") as fh:
-        fh.write(CHECKPOINT_MAGIC + "\n")
-        fh.write(json.dumps(meta) + "\n")
-        fh.write(f"S {len(spheres)}\n")
-        for col in sorted(spheres):
-            fh.write(_fmt_column(col) + "\n")
-        fh.write(f"F {len(frontier)}\n")
-        for cols, last in frontier:
-            flat = [x for col in cols for x in col]
-            fh.write(f"{last} {depth} " + _fmt_column(flat) + "\n")
+        fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(meta)}\nS {len(spheres)}\n")
+        fh.writelines(" ".join(map(str, col)) + "\n" for col in sorted(spheres))
+        fh.write(f"F {len(frontier)} {depth}\n")
+        fh.writelines(" ".join(map(str, col)) + "\n" for col, _ in frontier)
     return path
 
 
 def load_checkpoint(path: str):
-    """Read a checkpoint back: (metadata, sphere columns, frontier nodes)."""
+    """Read a checkpoint back: (metadata, sphere columns, frontier (column, depth) pairs)."""
     with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise PreconditionError(f"not a packlab checkpoint: {path}")
+        if fh.readline().strip() != CHECKPOINT_MAGIC:
+            raise PreconditionError(f"not a {CHECKPOINT_MAGIC} file: {path}")
         meta = json.loads(fh.readline())
-        rank = meta["rank"]
-        nsph = int(fh.readline().split()[1])
-        spheres = []
-        for _ in range(nsph):
-            parts = fh.readline().split()
-            spheres.append(tight(parts[1 : 1 + int(parts[0])]))
-        nfr = int(fh.readline().split()[1])
-        frontier = []
-        for _ in range(nfr):
-            parts = fh.readline().split()
-            last, depth, ln = int(parts[0]), int(parts[1]), int(parts[2])
-            flat = tight(parts[3 : 3 + ln])
-            cols = tuple(flat[i * rank : (i + 1) * rank] for i in range(ln // rank))
-            frontier.append((cols, last, depth))
-        return meta, spheres, frontier
+
+        def column():
+            col = tight(fh.readline().split())
+            if len(col) != meta["rank"]:
+                raise PreconditionError(f"truncated or corrupt checkpoint: {path}")
+            return col
+
+        spheres = [column() for _ in range(int(fh.readline().split()[1]))]
+        _, size, depth = fh.readline().split()
+        return meta, spheres, [(column(), int(depth)) for _ in range(int(size))]
 
 
 def resume_enumeration(seed: Cluster, path: str, **kwargs) -> PackingOrbit:
-    """Continue an enumeration from the checkpoint of a budgeted run.
+    """Continue a bounded enumeration from the checkpoint of a budgeted run.
 
-    The doubled-slack convergence recheck replays from the checkpoint
-    frontier, so it validates the resumed portion only; branches pruned
-    before the checkpoint was written are not revisited.
+    The walk does not revisit the checkpoint's spheres.  The doubled-slack
+    convergence recheck replays from the checkpoint frontier, so it
+    validates the resumed portion only; branches pruned before the
+    checkpoint was written are not revisited.
     """
     meta, spheres, frontier = load_checkpoint(path)
     if meta["rank"] != seed.system.rank or meta["mode"] != seed.system.mode:
         raise PreconditionError("checkpoint does not match this cluster system")
-    roots = [(cols, last) for cols, last, _ in frontier]
-    depth = frontier[0][2] if frontier else 0  # the writer stores a single level
-    return enumerate_packing(seed, _resume=(spheres, roots, depth), **kwargs)
+    depth = frontier[0][1] if frontier else 0  # the writer stores a single level
+    return enumerate_packing(seed, _resume=(spheres, [col for col, _ in frontier], depth), **kwargs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional
 
 from . import exact
@@ -32,7 +32,7 @@ from .errors import ConfigError, PreconditionError, TruncatedCurveError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
-from .walk import bounded_walk
+from .walk import bounded_walk, vector_expand
 
 
 @dataclass(frozen=True)
@@ -351,6 +351,9 @@ class OrbitCount:
         return fit_exponent(self.curve(), window_decades=window_decades)
 
 
+MAX_NODES = 10_000_000  # most orbit vectors one counting pass may reach
+
+
 def orbit_count(
     model: SurfaceModel,
     bound,
@@ -359,7 +362,7 @@ def orbit_count(
     slack=4,
     threads: int = 1,
     convergence_check: bool = True,
-    max_nodes: int = 10_000_000,
+    _report: Optional[ModelReport] = None,
 ) -> OrbitCount:
     """Count orbit classes C' of the seed class with |(H, C')| <= bound.
 
@@ -369,9 +372,9 @@ def orbit_count(
     orbit (frontier exhausted with nothing pruned) is reported so callers
     can refuse exponent estimates for elementary groups.  threads is
     accepted for compatibility: the walk runs in one thread, and the value
-    changes neither the work done nor the output.
+    changes neither the work done nor the output.  ``_report``: the model's verify_model report.
     """
-    report = verify_model(model)
+    report = _report or verify_model(model)
     if report.convention == "none":
         raise PreconditionError(
             "model generators do not preserve the intersection form; refusing to count"
@@ -384,22 +387,13 @@ def orbit_count(
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]
-    gens = tight(generators)
     hrow = tight(exact.mat_vec(model.space.gram, h))
     seed_t = tight(seed)
-    d0 = abs(sum(a * b for a, b in zip(hrow, seed_t)))
-
-    def expand(level, limit, _factor):
-        children, pruned = [], 0
-        for v, _ in level:
-            for a in gens:
-                w = tuple(sum(r[k] * v[k] for k in range(len(v))) for r in a)
-                deg = abs(sum(h * x for h, x in zip(hrow, w)))
-                if deg <= limit:
-                    children.append((w, deg))
-                else:
-                    pruned += 1
-        return children, pruned
+    d0 = abs(sum(map(mul, hrow, seed_t)))
+    expand = vector_expand(
+        [lambda v, a=a: tuple([sum(map(mul, row, v)) for row in a]) for a in tight(generators)],
+        hrow,
+    )
 
     def run(walk_pass, limit) -> dict:
         collected = {seed_t: d0} if d0 <= bound else {}
@@ -411,9 +405,9 @@ def orbit_count(
                 if deg <= bound:
                     collected[w] = deg
             reached += len(level)
-            if reached > max_nodes:
+            if reached > MAX_NODES:
                 raise PreconditionError(
-                    f"orbit search exceeded {max_nodes} nodes; raise max_nodes or lower the bound"
+                    f"orbit search exceeded {MAX_NODES} nodes; lower the bound"
                 )
         return collected
 

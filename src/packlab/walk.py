@@ -3,18 +3,17 @@
 A walk starts from a list of root nodes and expands one whole level at a
 time.  ``expand(level)`` returns the children that pass its prune test, in
 order, and how many it pruned; the walk then drops the children whose
-dedup key it has already seen.  Pruning comes before dedup on purpose:
-whether a packing child is kept depends on the generator that produced
-it, not only on the cluster it reaches, so deduping first would drop
-clusters that a later, unpruned path reaches.
+dedup key it has already seen.
 
 The walk policy is written here once: the depth cap, the pruning limit,
-the doubled-slack recheck and every work counter.
+the doubled-slack recheck and every work counter, and the vector-orbit
+expand that bounded packings and surface counts share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from operator import mul
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import PreconditionError
 from .exact import rat, tight
@@ -63,6 +62,29 @@ def walk(
         stats["max_frontier"] = max(stats["max_frontier"], len(level))
         depth += 1
         yield level
+
+
+def vector_expand(generators: Sequence[Callable], row: Sequence):
+    """``expand(level, limit, factor)`` for an orbit of single vectors.
+
+    A node is ``(vector, |row . vector|)`` and each generator is a callable
+    acting on a vector from the left.  A child whose height is beyond the
+    limit is pruned; key the walk by ``itemgetter(0)`` to dedup by vector.
+    """
+
+    def expand(level, limit, _factor):
+        children, pruned = [], 0
+        for v, _ in level:
+            for g in generators:
+                w = g(v)
+                h = abs(sum(map(mul, row, w)))
+                if h <= limit:
+                    children.append((w, h))
+                else:
+                    pruned += 1
+        return children, pruned
+
+    return expand
 
 
 def bounded_walk(run: Callable, bound, slack, below: Callable, max_depth=None, check=True):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from packlab import cli
+from packlab import cli, surfaces
 from packlab.surfaces import builtin_model, estimate_surface_exponent
 
 
@@ -139,6 +139,17 @@ def test_surface_verify(capsys):
     assert run(["surface", "--model", "baragar_p2p2", "--verify"]) == 0
     out = capsys.readouterr().out
     assert "[pass]" in out and "FAIL" not in out
+
+
+def test_surface_count_verifies_once(monkeypatch, capsys):
+    calls = []
+    verify = surfaces.verify_model
+    monkeypatch.setattr(surfaces, "verify_model", lambda model: calls.append(model) or verify(model))
+    assert run(["surface", "--model", "baragar_p2p2", "--count", "--T", "1000"]) == 0
+    assert len(calls) == 1
+    # the report prints before the count
+    out = capsys.readouterr().out
+    assert out.index("[pass]") < out.index("N_T =")
 
 
 def test_surface_count_and_fit(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import packlab as pl
 from packlab import catalog, exact
@@ -114,6 +116,33 @@ def test_bounded_matches_exhaustive_small(apollonian_seed):
     assert set(bounded.spheres) == set(exhaustive.spheres)
 
 
+@pytest.fixture(scope="module")
+def depth8_oracle():
+    seed = pl.packing_seed("apollonian2")
+    return enumerate_packing(seed, bound=300, mode="depth_limited", max_depth=8)
+
+
+@settings(max_examples=50, deadline=None)
+@given(bound=st.integers(1, 300))
+def test_bounded_equals_word_oracle(depth8_oracle, bound):
+    # below 300 every gasket circle has a reduced word of length <= 8
+    seed = depth8_oracle.seed
+    want = {c for c in depth8_oracle.spheres if 0 < seed.curvature_of(c) <= bound}
+    want |= {seed.cols[j] for j in seed.system.sphere_slots}
+    assert set(enumerate_packing(seed, bound=bound).spheres) == want
+
+
+def test_bounded_max_depth_is_word_length():
+    # a sphere's walk level is the depth at which the reduced-word walk
+    # creates it, so a depth cap cuts both walks at the same spheres
+    for name, bound, size in (("apollonian2", 30000, 488), ("apollonian3", 60, 828)):
+        seed = pl.packing_seed(name)
+        bounded = enumerate_packing(seed, bound=bound, max_depth=5)
+        words = enumerate_packing(seed, bound=bound, mode="depth_limited", max_depth=5)
+        assert (len(bounded.spheres), bounded.truncated) == (size, True)
+        assert bounded.spheres == words.spheres
+
+
 def test_packing_property_sampled(apollonian_seed):
     orb = enumerate_packing(apollonian_seed, bound=500)
     vs = orb.sphere_vectors()
@@ -177,6 +206,17 @@ def test_box_counts_are_exact():
     assert orb.count() == 142
 
 
+def test_far_box_counts_like_its_translate():
+    # the band has period 2 along x, so a box twenty units out holds the
+    # circles of its translate at the origin
+    band = catalog.band_seed()
+    near = enumerate_packing(band, bound=12, box=((0, 0), (2, 2)))
+    far = enumerate_packing(band, bound=12, box=((20, 0), (22, 2)))
+    assert near.count() == far.count() == 10
+    assert near.positive_curvatures() == far.positive_curvatures()
+    assert not far.truncated
+
+
 def test_box_needs_n_coordinates_per_corner():
     band = catalog.band_seed()  # circles: centers have 2 coordinates
     for box in (((-3,), (3, 3)), ((-3, -1, 0), (3, 3, 0)), ((-3, -1), (3, 3, 0))):
@@ -203,6 +243,16 @@ def test_checkpoint_resume(tmp_path, apollonian_seed):
     )
     direct = enumerate_packing(apollonian_seed, bound=2000, convergence_check=False)
     assert resumed.spheres == direct.spheres
+    # the resumed walk does not expand the checkpoint's spheres again
+    assert resumed.stats["expanded"] < direct.stats["expanded"]
+
+
+def test_v1_checkpoint_refused(tmp_path, apollonian_seed):
+    # v1 files hold cluster frontiers, which the sphere walk cannot resume
+    path = tmp_path / "old.txt"
+    path.write_text('PACKLAB-CHECKPOINT v1\n{"mode": "weights", "rank": 4}\nS 0\nF 0\n')
+    with pytest.raises(PreconditionError, match="v2"):
+        pl.resume_enumeration(apollonian_seed, str(path), bound=2000)
 
 
 def test_checkpoint_format(tmp_path, apollonian_seed):
@@ -220,6 +270,12 @@ def test_checkpoint_format(tmp_path, apollonian_seed):
     assert frontier
     with open(exc.value.path) as fh:
         assert fh.readline().startswith("PACKLAB-CHECKPOINT")
+    # a file cut short is refused, not read as short columns
+    with open(exc.value.path) as fh:
+        cut = fh.read().splitlines()[:10]
+    (tmp_path / "cut.txt").write_text("\n".join(cut) + "\n")
+    with pytest.raises(PreconditionError, match="truncated"):
+        pl.load_checkpoint(str(tmp_path / "cut.txt"))
 
 
 def test_certify_integral(apollonian_seed):
