@@ -195,7 +195,7 @@ def _surface_model(args) -> surfaces.SurfaceModel:
 
 def cmd_surface(args) -> int:
     model = _surface_model(args)
-    report = surfaces.verify_model(model)
+    report = model.report
     print(report)
     if not report.all_passed:
         raise PreconditionError("model verification failed; not counting")
@@ -209,7 +209,6 @@ def cmd_surface(args) -> int:
             ample=ample,
             slack=rat(args.slack) if args.slack else 4,
             threads=args.threads,
-            _report=report,
         )
         print(
             f"N_T = {oc.count} classes with degree <= {oc.bound} "

@@ -127,7 +127,7 @@ def maxwell_level(gram):
     """Minimal l in {0, 1, 2} such that deleting any l vertices leaves a
     positive semidefinite Gram matrix; None when no l <= 2 works.
 
-    PSD is decided by the exact all-principal-minors criterion.
+    PSD is decided exactly, by the inertia of each principal submatrix.
     """
     g = mat(gram)
     if not exact.is_symmetric(g):

@@ -198,18 +198,8 @@ def inertia(a: Matrix) -> tuple[int, int, int]:
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
-    """Exact PSD test: every principal minor is >= 0.
-
-    Exponential in matrix size, which is fine for the small Gram matrices
-    (rank <= 12) this library works with.
-    """
-    n = len(a)
-    for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sub = tuple(tuple(a[i][j] for j in idx) for i in idx)
-        if det(sub) < 0:
-            return False
-    return True
+    """Exact PSD test for a symmetric matrix: no negative inertia (Sylvester's law)."""
+    return inertia(a)[1] == 0
 
 
 def denominator_lcm(entries: Iterable[Fraction]) -> int:

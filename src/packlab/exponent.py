@@ -4,19 +4,20 @@ For a packing enumerated to curvature bound T, N(t) counts the spheres of
 curvature at most t.  The packing critical exponent delta (equivalently
 the Hausdorff dimension of the limit set) governs N(t) ~ c t^delta, so a
 least-squares slope of log N against log t over the top decades of a
-converged counting curve estimates delta.  The power-sum diagnostic
-brackets delta from the defining series sum r(S)^s: decade contributions
-grow when s < delta and shrink when s > delta.
+converged counting curve estimates delta.  The fit runs on the standard
+library (``statistics.linear_regression`` and ``math.fsum``) over the 8-14
+grid points of a window.  The power-sum diagnostic brackets delta from the
+defining series sum r(S)^s: decade contributions grow when s < delta and
+shrink when s > delta.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
-import numpy as np
+import statistics
+from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ConfigError, PreconditionError, TruncatedCurveError
 from .exact import rat
@@ -29,8 +30,6 @@ class CountCurve:
     ts: tuple[float, ...]
     ns: tuple[int, ...]
     truncated: bool = False
-    bound: Optional[float] = None
-    meta: dict = field(compare=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.ts) != len(self.ns):
@@ -102,23 +101,12 @@ def dyadic_grid(lo, hi, factor: float = 2.0) -> list[float]:
 
 
 def counting_function(
-    curvatures: Sequence,
-    grid: Sequence[float],
-    truncated: bool = False,
-    bound=None,
-    meta: Optional[dict] = None,
+    curvatures: Sequence, grid: Sequence[float], truncated: bool = False
 ) -> CountCurve:
     """N(t) = #{k in the multiset : k <= t} sampled on the given grid."""
     ks = sorted(float(rat(k) if not isinstance(k, float) else k) for k in curvatures)
-    ts = [float(t) for t in grid]
-    ns = [bisect.bisect_right(ks, t) for t in ts]
-    return CountCurve(
-        ts=tuple(ts),
-        ns=tuple(ns),
-        truncated=truncated,
-        bound=None if bound is None else float(bound),
-        meta=meta or {},
-    )
+    ts = tuple(float(t) for t in grid)
+    return CountCurve(ts=ts, ns=tuple(bisect.bisect_right(ks, t) for t in ts), truncated=truncated)
 
 
 def curve_from_orbit(orbit) -> CountCurve:
@@ -132,8 +120,6 @@ def curve_from_orbit(orbit) -> CountCurve:
         ks,
         dyadic_grid(float(min(ks)), float(bound if bound is not None else max(ks))),
         truncated=orbit.truncated,
-        bound=bound,
-        meta={"stats": dict(orbit.stats)},
     )
 
 
@@ -162,17 +148,13 @@ def fit_exponent(curve: CountCurve, window_decades: float = 2.0) -> ExponentEsti
         raise PreconditionError(
             f"only {len(xs)} usable points in window [{lo:.4g}, {hi:.4g}]; need {MIN_FIT_POINTS}"
         )
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    m = len(x)
-    xbar = x.mean()
-    sxx = float(((x - xbar) ** 2).sum())
-    slope = float(((x - xbar) * (y - y.mean())).sum() / sxx)
-    intercept = float(y.mean() - slope * xbar)
-    resid = y - (slope * x + intercept)
-    ss_res = float((resid**2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    stderr = math.sqrt(ss_res / (m - 2) / sxx) if m > 2 else float("inf")
+    m = len(xs)
+    slope, intercept = statistics.linear_regression(xs, ys)
+    xbar, ybar = math.fsum(xs) / m, math.fsum(ys) / m
+    sxx = math.fsum((x - xbar) ** 2 for x in xs)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = math.fsum((y - ybar) ** 2 for y in ys)
+    stderr = math.sqrt(ss_res / (m - 2) / sxx)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return ExponentEstimate(
         delta_hat=slope,

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional
 
 from . import exact
-from .errors import ConfigError, PreconditionError, TruncatedCurveError
+from .errors import ConfigError, DimensionError, PreconditionError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
@@ -49,6 +50,11 @@ class SurfaceModel:
     alpha_gram_expected: Optional[Matrix] = None
 
     def __post_init__(self):
+        n = self.rank
+        if any(len(a) != n or any(len(r) != n for r in a) for a in self.generators):
+            raise DimensionError(f"generators must be {n} x {n} matrices on a rank-{n} lattice")
+        _class_of_rank(self.ample, n, "distinguished class H")
+        _class_of_rank(self.seed_class, n, "seed class C")
         pos, neg = self.space.signature
         if min(pos, neg) != 1:
             raise PreconditionError(
@@ -64,6 +70,11 @@ class SurfaceModel:
     @property
     def rank(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def report(self) -> ModelReport:
+        """verify_model(self), computed once per model."""
+        return verify_model(self)
 
     def inner(self, v, w) -> Fraction:
         return self.space.inner(v, w)
@@ -90,6 +101,13 @@ class SurfaceModel:
                 for r in range(n)
             ]
         )
+
+
+def _class_of_rank(v, rank: int, label: str) -> Vector:
+    v = vec(v)
+    if len(v) != rank:
+        raise DimensionError(f"{label} has {len(v)} coordinates; the lattice has rank {rank}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -225,6 +243,8 @@ def builtin_model(name: str, a=None, b=None, c=None) -> SurfaceModel:
 
 def model_from_config(cfg: dict) -> SurfaceModel:
     """Model from a JSON-style dict: gram, generators, H, C, optional alphas."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("model config must be a JSON object")
     try:
         gram = mat(cfg["gram"])
         gens = tuple(mat(g) for g in cfg["generators"])
@@ -251,25 +271,19 @@ def verify_model(model: SurfaceModel) -> ModelReport:
     the Gram matrix of the reflection vectors against its expected value.
     """
     g = model.space.gram
-    checks = []
-    column_ok = all(
-        exact.congruent(a, g) == g for a in model.generators
-    )
-    row_ok = all(
+    column = [exact.congruent(a, g) == g for a in model.generators]
+    row_ok = not all(column) and all(
         exact.mat_mul(a, exact.mat_mul(g, exact.transpose(a))) == g for a in model.generators
     )
-    convention = "column" if column_ok else ("row" if row_ok else "none")
-    for label, a in zip(model.generator_labels, model.generators):
-        ok, witness = (exact.congruent(a, g) == g), None
-        if not ok and row_ok:
-            ok = exact.mat_mul(a, exact.mat_mul(g, exact.transpose(a))) == g
-        checks.append(
-            CheckResult(
-                name=f"generator {label} preserves the intersection form",
-                passed=ok,
-                detail="" if ok else "A^T G A != G and A G A^T != G",
-            )
+    convention = "column" if all(column) else ("row" if row_ok else "none")
+    checks = [
+        CheckResult(
+            name=f"generator {label} preserves the intersection form",
+            passed=ok or row_ok,
+            detail="" if ok or row_ok else "A^T G A != G and A G A^T != G",
         )
+        for label, ok in zip(model.generator_labels, column)
+    ]
     if model.reflection_vectors and model.reflection_words:
         for alpha, word in zip(model.reflection_vectors, model.reflection_words):
             refl = model.reflection_matrix(alpha)
@@ -334,18 +348,15 @@ class OrbitCount:
             self.degrees,
             dyadic_grid(lo, float(self.bound), 2.0 ** 0.5),
             truncated=self.truncated,
-            bound=self.bound,
-            meta={"model": self.model.name, "stats": dict(self.stats)},
         )
 
     def estimate_exponent(self, window_decades: float = 2.0) -> ExponentEstimate:
         """Log-log exponent fit of this counting curve.
 
-        Refuses truncated counts (the convergence check failed) and finite
-        orbits (the group is elementary, where no power law exists).
+        Refuses finite orbits (the group is elementary, where no power law
+        exists); fit_exponent refuses truncated counts, whose curve carries
+        the flag.
         """
-        if self.truncated:
-            raise TruncatedCurveError("orbit count is truncated; enlarge slack or bound")
         if self.finite_orbit:
             raise PreconditionError("finite orbit (elementary group): no counting exponent exists")
         return fit_exponent(self.curve(), window_decades=window_decades)
@@ -362,7 +373,6 @@ def orbit_count(
     slack=4,
     threads: int = 1,
     convergence_check: bool = True,
-    _report: Optional[ModelReport] = None,
 ) -> OrbitCount:
     """Count orbit classes C' of the seed class with |(H, C')| <= bound.
 
@@ -372,9 +382,10 @@ def orbit_count(
     orbit (frontier exhausted with nothing pruned) is reported so callers
     can refuse exponent estimates for elementary groups.  threads is
     accepted for compatibility: the walk runs in one thread, and the value
-    changes neither the work done nor the output.  ``_report``: the model's verify_model report.
+    changes neither the work done nor the output.  Overrides of the seed
+    class and of H must have the model's rank.
     """
-    report = _report or verify_model(model)
+    report = model.report
     if report.convention == "none":
         raise PreconditionError(
             "model generators do not preserve the intersection form; refusing to count"
@@ -382,8 +393,12 @@ def orbit_count(
     bound = rat(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
-    seed = vec(seed_class if seed_class is not None else model.seed_class)
-    h = vec(ample if ample is not None else model.ample)
+    seed = _class_of_rank(
+        model.seed_class if seed_class is None else seed_class, model.rank, "seed class C"
+    )
+    h = _class_of_rank(
+        model.ample if ample is None else ample, model.rank, "distinguished class H"
+    )
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -123,3 +126,34 @@ def test_power_sum_brackets_apollonian(deep_apollonian_orbit):
     assert ps2.tail == "shrinking"
     assert ps2.value < math.pi * (1 / 10) ** 2  # disks fit inside the bounding circle
     assert power_sum(ks, 1.0).tail == "growing"
+
+
+def test_import_leaves_numpy_out():
+    # only packlab.realize needs numpy; the CLI imports it lazily
+    code = "import sys, packlab, packlab.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(pl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_fit_matches_least_squares_reference(apollonian_seed):
+    import numpy as np
+
+    curve = pl.curve_from_orbit(pl.enumerate_packing(apollonian_seed, bound=3 * 10**4))
+    est = fit_exponent(curve, window_decades=3)
+    hi = curve.ts[-1]
+    pts = [(math.log(t), math.log(n)) for t, n in zip(curve.ts, curve.ns) if t >= hi / 1000]
+    x, y = np.array(pts).T
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(resid @ resid)
+    stderr = math.sqrt(ss_res / (len(x) - 2) / float(((x - x.mean()) ** 2).sum()))
+    r2 = 1 - ss_res / float(((y - y.mean()) ** 2).sum())
+    assert est.points == len(x)
+    assert est.delta_hat == pytest.approx(slope, rel=1e-12)
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
+    assert est.r_squared == pytest.approx(r2, rel=1e-12)
+    assert est.prefactor == pytest.approx(math.exp(intercept), rel=1e-12)

@@ -1,10 +1,11 @@
+import dataclasses
 from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
-from packlab import exact
-from packlab.errors import ConfigError, PreconditionError
+from packlab import cli, exact
+from packlab.errors import ConfigError, DimensionError, PreconditionError, TruncatedCurveError
 from packlab.surfaces import (
     SurfaceModel,
     builtin_model,
@@ -252,3 +253,33 @@ def test_model_from_config_round_trip():
     assert orbit_count(copy, 1000).count == orbit_count(m, 1000).count
     with pytest.raises(ConfigError):
         model_from_config({"gram": [[0]]})
+
+
+def test_truncated_count_refused_for_exponent():
+    oc = orbit_count(builtin_model("baragar_p2p2"), 10**6)
+    oc.estimate_exponent()
+    with pytest.raises(TruncatedCurveError):
+        dataclasses.replace(oc, truncated=True).estimate_exponent()
+
+
+def test_wrong_length_classes_refused(tmp_path):
+    m = builtin_model("baragar_222")
+    for cls in ((1, 0), (1, 0, 0, 0, 5)):
+        with pytest.raises(DimensionError, match="seed class"):
+            orbit_count(m, 1000, seed_class=cls)
+        with pytest.raises(DimensionError, match="class H"):
+            orbit_count(m, 1000, ample=cls)
+    p2 = builtin_model("baragar_p2p2")
+    with pytest.raises(DimensionError, match="generators"):
+        dataclasses.replace(p2, generators=(exact.identity(2),))
+    with pytest.raises(DimensionError, match="seed class"):
+        dataclasses.replace(p2, seed_class=(1, 0))
+    with pytest.raises(ConfigError, match="object"):
+        model_from_config([[0, 1], [1, 0]])
+    # the CLI maps the refusals to exit codes instead of tracebacks
+    count = ["surface", "--model", "baragar_p2p2", "--count", "--T", "1000"]
+    assert cli.main(count + ["--C", "1,0"]) == 3
+    assert cli.main(count + ["--H", "1,1"]) == 3
+    bad = tmp_path / "model.json"
+    bad.write_text('[["1", "0"], ["0", "1"]]')
+    assert cli.main(["surface", "--model-file", str(bad)]) == 2
