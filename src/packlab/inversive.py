@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DimensionError, NormalizationError, PreconditionError
-from .exact import Vector, rat, sqrt_rational, vec
+from .exact import Vector, cleared, rat, sqrt_rational, vec
 from .lorentz import QuadraticSpace, sphere_space
 
 IDENTICAL = "identical"
@@ -135,11 +135,19 @@ def sphere_from_vector(v: SphereVector | Sequence) -> EuclideanSphere:
     """Euclidean sphere/hyperplane encoded by a normalized vector."""
     if not isinstance(v, SphereVector):
         v = SphereVector(vec(v))
-    a = v.coords
-    if a[0] == 0:
-        return EuclideanSphere(kind="hyperplane", normal=a[1:-1], offset=a[-1])
-    center = tuple(x / a[0] for x in a[1:-1])
-    return EuclideanSphere(kind="sphere", curvature=a[0], center=center)
+    (r,), d = cleared([v.coords])
+    return sphere_from_row(r, d)
+
+
+def sphere_from_row(r: Sequence, d: int) -> EuclideanSphere:
+    """Euclidean sphere/hyperplane of the norm-checked vector r / d, d > 0:
+    curvature r_0 / d and center r_i / r_0, or a hyperplane's normal r_i / d
+    and offset r_{n+1} / d, all exact Fractions."""
+    if r[0] == 0:
+        normal = tuple([Fraction(x, d) for x in r[1:-1]])
+        return EuclideanSphere(kind="hyperplane", normal=normal, offset=Fraction(r[-1], d))
+    center = tuple([Fraction(x, r[0]) for x in r[1:-1]])
+    return EuclideanSphere(kind="sphere", curvature=Fraction(r[0], d), center=center)
 
 
 def vector_from_sphere(s: EuclideanSphere) -> SphereVector:

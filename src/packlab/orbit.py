@@ -21,6 +21,12 @@ products invariant, so Gram and Soddy identities hold exactly at every
 node.  Curvatures are values of a linear functional fixed by the seed, so
 deduplication is exact coordinate equality.
 
+Exact geometry is one integer map, ``Cluster.sphere_row``: a seed's
+realization is integer rows over one common denominator d, and a column's
+inversive coordinates are the numerators rows . col over d, norm-checked
+in integers.  Output spheres, sphere vectors and box membership all read
+it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
+
 Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
 expanded, and the walk's set of seen vectors is the sphere set.  Where
@@ -47,9 +53,11 @@ from typing import Iterator, Optional, Sequence
 
 from . import exact
 from .coxeter import CoxeterPolytope
-from .errors import CheckpointError, DimensionError, PackingError, PreconditionError
+from .errors import (
+    CheckpointError, DimensionError, NormalizationError, PackingError, PreconditionError
+)
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
-from .inversive import EuclideanSphere, SphereVector, sphere_from_vector, vector_from_sphere
+from .inversive import EuclideanSphere, SphereVector, sphere_from_row, vector_from_sphere
 from .walk import bounded_walk, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
@@ -193,18 +201,31 @@ class Cluster:
         k = self.curvatures
         return dot(k, [dot(row, k) for row in self.system.soddy_gram])
 
-    def sphere_vector(self, col: Column) -> SphereVector:
-        """The column's exact inversive coordinates (norm-checked)."""
+    def sphere_row(self, col: Column) -> tuple:
+        """The column's inversive coordinates as numerators r = rows . col
+        over the realization's denominator d, norm-checked in integers:
+        2 r_0 r_{n+1} + r_1^2 + ... + r_n^2 = d^2."""
         if self.realization is None:
             raise PreconditionError("cluster has no exact realization attached")
         rows, d = self.realization
-        return SphereVector(tuple(Fraction(dot(row, col), d) for row in rows))
+        r = tuple([sum(map(mul, row, col)) for row in rows])
+        norm = 2 * r[0] * r[-1] + sum(x * x for x in r[1:-1])
+        if norm != d * d:
+            raise NormalizationError(
+                f"(v, v) = {Fraction(norm, d * d)} != 1: not a normalized sphere vector"
+            )
+        return r
+
+    def sphere_vector(self, col: Column) -> SphereVector:
+        """The column's exact inversive coordinates, sphere_row / d."""
+        return SphereVector(tuple(Fraction(x, self.realization[1]) for x in self.sphere_row(col)))
+
+    def euclidean_sphere(self, col: Column) -> EuclideanSphere:
+        """The column's exact sphere or hyperplane, built from sphere_row."""
+        return sphere_from_row(self.sphere_row(col), self.realization[1])
 
     def euclidean_spheres(self) -> list[EuclideanSphere]:
-        return [
-            sphere_from_vector(self.sphere_vector(self.cols[j]))
-            for j in self.system.sphere_slots
-        ]
+        return [self.euclidean_sphere(self.cols[j]) for j in self.system.sphere_slots]
 
 
 def initial_cluster(polytope: CoxeterPolytope, mode: str = "weights") -> Cluster:
@@ -370,7 +391,7 @@ class PackingOrbit:
         return [self.seed.sphere_vector(c) for c in self.spheres]
 
     def euclidean_spheres(self) -> list[EuclideanSphere]:
-        return [sphere_from_vector(v) for v in self.sphere_vectors()]
+        return list(map(self.seed.euclidean_sphere, self.spheres))
 
 
 CERTIFY_PAIRS = 4000  # most pairs certify_integral samples
@@ -448,7 +469,7 @@ def enumerate_packing(
 
     def in_box(col):
         if col not in centred:
-            center = sphere_from_vector(seed.sphere_vector(col)).center
+            center = seed.euclidean_sphere(col).center
             centred[col] = all(a <= x <= b for x, a, b in zip(center, *box))
         return centred[col]
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -50,6 +51,15 @@ def test_pack_deterministic_output(tmp_path):
         ) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_pack_csv_has_no_signed_zeros(tmp_path):
+    # the outer circle is centred at the origin: its center numerators are 0
+    out = tmp_path / "spheres.csv"
+    assert run(["pack", "--catalog", "apollonian2", "--T", "30", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert "-10,0 0,0.1" in rows
+    assert "-0" not in {field for row in rows for field in re.split("[ ,]", row)}
 
 
 def test_pack_custom_gram_requires_seed(tmp_path):

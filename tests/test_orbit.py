@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import packlab as pl
 from packlab import catalog, exact
-from packlab.errors import CheckpointError, PackingError, PreconditionError
-from packlab.inversive import EuclideanSphere
+from packlab.errors import CheckpointError, NormalizationError, PackingError, PreconditionError
+from packlab.inversive import EuclideanSphere, SphereVector, sphere_from_vector
 from packlab.orbit import (
     apply_generator,
     certify_integral,
@@ -215,6 +216,62 @@ def test_far_box_counts_like_its_translate():
     assert near.count() == far.count() == 10
     assert near.positive_curvatures() == far.positive_curvatures()
     assert not far.truncated
+
+
+def _vector_path_sphere(seed, col):
+    # the Fraction path that the integer map replaced: inversive coordinates
+    # rows . col / d as a SphereVector, then center a_i / a_0
+    rows, d = seed.realization
+    a = SphereVector(tuple(F(exact.dot(row, col), d) for row in rows)).coords
+    if a[0] == 0:
+        return EuclideanSphere(kind="hyperplane", normal=a[1:-1], offset=a[-1])
+    return EuclideanSphere(kind="sphere", curvature=a[0], center=[x / a[0] for x in a[1:-1]])
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [("apollonian2", dict(bound=2000)), ("band", dict(bound=60, box=((-3, -1), (3, 3))))],
+)
+def test_euclidean_spheres_match_vector_path(name, kwargs):
+    seed = catalog.band_seed() if name == "band" else pl.packing_seed(name)
+    orb = enumerate_packing(seed, **kwargs)
+    spheres = orb.euclidean_spheres()
+    want = [_vector_path_sphere(seed, c) for c in orb.spheres]
+    assert spheres == want
+    assert spheres == [sphere_from_vector(v) for v in orb.sphere_vectors()]
+    assert seed.euclidean_spheres() == [
+        _vector_path_sphere(seed, seed.cols[j]) for j in seed.system.sphere_slots
+    ]
+    assert sum(s.kind == "hyperplane" for s in spheres) == (2 if "box" in kwargs else 0)
+
+
+def test_box_filter_matches_vector_path():
+    # a box inside a larger one keeps exactly the larger run's spheres whose
+    # center, by the Fraction path, lies in it (seeds of curvature <= 0 always)
+    band = catalog.band_seed()
+    small = ((-3, -1), (F(10, 7), 3))
+    big = enumerate_packing(band, bound=60, box=((-3, -1), (3, 3)))
+    orb = enumerate_packing(band, bound=60, box=small)
+
+    def kept(col):
+        s = _vector_path_sphere(band, col)
+        return s.kind == "hyperplane" or s.curvature <= 0 or all(
+            a <= x <= b for x, a, b in zip(s.center, *small)
+        )
+
+    assert orb.spheres == tuple(filter(kept, big.spheres))
+    assert (len(big.spheres), len(orb.spheres), orb.count()) == (189, 144, 142)
+
+
+def test_altered_realization_fails_norm_check():
+    seed = pl.packing_seed("apollonian2")
+    orb = enumerate_packing(seed, bound=100)
+    rows, d = seed.realization
+    bad = replace(seed, realization=(rows, d + 1))
+    with pytest.raises(NormalizationError):
+        bad.euclidean_spheres()
+    with pytest.raises(NormalizationError):
+        replace(orb, seed=bad).euclidean_spheres()
 
 
 def test_box_needs_n_coordinates_per_corner():
