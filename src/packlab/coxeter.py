@@ -152,14 +152,12 @@ def is_packing_polytope(gram) -> bool:
 
 def reflection_in_weight_basis(p: CoxeterPolytope, i: int) -> Matrix:
     """Matrix of the reflection in wall i acting on weight-basis coordinate
-    columns: only the image of w_i changes, to w_i - 2 sum_k g_ki w_k.
+    columns.  Wall i is column i of G, so only the image of w_i changes, to
+    w_i - 2 sum_k g_ki w_k.
     """
     if not 0 <= i < p.rank:
         raise IndexError(f"generator index {i} out of range")
-    cols = [[Fraction(int(r == c)) for c in range(p.rank)] for r in range(p.rank)]
-    for k in range(p.rank):
-        cols[k][i] -= 2 * p.gram[k][i]
-    return mat(cols)
+    return exact.reflection_matrix(p.gram_inv, p.gram[i])
 
 
 def reflection_in_normal_basis(p: CoxeterPolytope, i: int) -> Matrix:
@@ -173,10 +171,7 @@ def reflection_in_normal_basis(p: CoxeterPolytope, i: int) -> Matrix:
     gii = p.gram_inv[i][i]
     if gii <= 0:
         raise PackingError(f"weight {i} is not real (g^{i}{i} = {gii} <= 0)")
-    rows = [[Fraction(int(r == c)) for c in range(p.rank)] for r in range(p.rank)]
-    for k in range(p.rank):
-        rows[i][k] -= 2 * p.gram_inv[k][i] / gii
-    return mat(rows)
+    return exact.transpose(exact.reflection_matrix(p.gram, p.weight(i)))
 
 
 def dual_polytope(p: CoxeterPolytope) -> CoxeterPolytope:

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, PreconditionError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -97,6 +97,30 @@ def dot(v: Sequence, w: Sequence) -> Fraction:
     if len(v) != len(w):
         raise ValueError("length mismatch in dot")
     return sum(x * y for x, y in zip(v, w))
+
+
+def reflection(gram: Matrix, alpha) -> tuple[tuple, tuple]:
+    """The reflection v -> v - 2 (v, alpha)/(alpha, alpha) alpha over ``gram``.
+
+    Returned as the rank-one update s = I + a q^T, so s(v) = v + a (q . v):
+    q is gram . alpha scaled by some t > 0 to a primitive integer vector and
+    a = -2 alpha / (t (alpha, alpha)), both ``tight``, so an integral
+    reflection has integral a and q.  A zero-norm alpha is refused.
+    """
+    alpha = vec(alpha)
+    q = mat_vec(gram, alpha)
+    norm = dot(alpha, q)
+    if norm == 0:
+        raise PreconditionError("reflection vector has zero norm")
+    d = denominator_lcm(q)
+    t = Fraction(d, math.gcd(*(int(x * d) for x in q)))
+    return tight(-2 * x / (t * norm) for x in alpha), tight(t * x for x in q)
+
+
+def reflection_matrix(gram: Matrix, alpha) -> Matrix:
+    """The matrix I + a q^T of ``reflection``; its columns are the images of the basis."""
+    a, q = reflection(gram, alpha)
+    return mat([[int(r == c) + x * y for c, y in enumerate(q)] for r, x in enumerate(a)])
 
 
 def mat_scale(a: Matrix, t) -> Matrix:

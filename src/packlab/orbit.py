@@ -1,18 +1,20 @@
 """Exact breadth-first enumeration of reflection-group orbits of sphere clusters.
 
-Two actions are supported; each has a right action on clusters (the
-reduced-word walk of ``iter_clusters`` and depth-limited runs) and a left
-action on single sphere columns (bounded runs: a packing's spheres are the
-orbits of the seed spheres).
+Every generator is one wall reflection, written by ``exact.reflection`` as
+the rank-one update s = I + a q^T over the working basis.  It acts from
+the left on single sphere columns, u -> u + a (q . u) (bounded runs: a
+packing's spheres are the orbits of the seed spheres), and from the right
+on clusters, C -> C + (C a) q^T (the reduced-word walk of
+``iter_clusters`` and depth-limited runs).  The mode picks basis and walls:
 
 * ``weights`` mode: clusters are tuples of (normalized) dual weights of a
-  Coxeter polytope; wall reflection i changes exactly one cluster member,
-  to w_i - 2 sum_k g_ki w_k.  This is the Boyd-Maxwell packing action and,
-  for the circulant tangent-cluster Gram matrix, reproduces the classical
-  curvature swap k -> 2*(sum of the others) - k.
+  Coxeter polytope and wall i is column i of G, so q = e_i: reflection i
+  changes one cluster member, to w_i - 2 sum_k g_ki w_k.  This is the
+  Boyd-Maxwell packing action and, for the circulant tangent-cluster Gram
+  matrix, reproduces the classical curvature swap k -> 2*(sum of the others) - k.
 * ``mirrors`` mode: clusters are the polytope's own walls viewed as
-  spheres, and generators reflect the whole cluster in one of them.  The
-  degenerate one-dimensional tangent-triple packing lives here.
+  spheres (wall i is e_i), and generators reflect the whole cluster in one
+  of them.  The degenerate one-dimensional tangent-triple packing lives here.
 
 State is plain integers (``exact.tight``) wherever the data are integral:
 a cluster is a square matrix of exact coordinates over the working basis,
@@ -75,27 +77,18 @@ class OrbitSystem:
         return self.polytope.rank
 
     @property
-    def group_gram(self) -> Matrix:
-        """Gram matrix of the generating reflections' normal vectors."""
-        return self.polytope.gram
-
-    @property
     def basis_gram(self) -> Matrix:
         """Gram matrix of the working basis the columns are written in."""
         return self.polytope.gram_inv if self.mode == "weights" else self.polytope.gram
 
     @property
     def sphere_slots(self) -> tuple[int, ...]:
-        if self.mode == "weights":
-            return self.polytope.real_indices
-        return tuple(range(self.rank))
+        return self.polytope.real_indices if self.mode == "weights" else tuple(range(self.rank))
 
     @cached_property
     def weight_norm(self) -> Fraction:
         """Common self-inner-product of the working basis vectors on sphere slots."""
-        if self.mode == "mirrors":
-            return Fraction(1)
-        norms = {self.polytope.gram_inv[j][j] for j in self.sphere_slots}
+        norms = {self.basis_gram[j][j] for j in self.sphere_slots}
         if len(norms) != 1:
             raise PackingError(
                 "real weights have unequal norms; exact curvature bookkeeping "
@@ -125,41 +118,30 @@ class OrbitSystem:
         return cleared(self.normalized_gram)
 
     @cached_property
-    def generator_columns(self) -> tuple[tuple, ...]:
-        """Per-generator update coefficients.
-
-        weights mode: entry i is the vector a with
-        new_col_i = sum_k a[k] * col_k, other columns unchanged.
-        mirrors mode: entry i is the row (-2 g_ij)_j; generator i maps
-        col_j -> col_j + row[j] * col_i, so col_i -> -col_i.
-        """
-        g = self.polytope.gram
-        idx = range(self.rank)
-        if self.mode == "weights":
-            return tight([[int(k == i) - 2 * g[k][i] for k in idx] for i in idx])
-        return tight([[-2 * g[i][j] for j in idx] for i in idx])
+    def reflections(self) -> tuple[tuple[tuple, tuple], ...]:
+        """Wall reflection i as the rank-one update I + a q^T, by ``exact.reflection``
+        over the basis: wall i is column i of G in weights mode, so q = e_i,
+        and e_i in mirrors mode."""
+        walls = self.polytope.gram if self.mode == "weights" else exact.identity(self.rank)
+        return tuple(exact.reflection(self.basis_gram, w) for w in walls)
 
     @cached_property
     def left_generators(self) -> tuple:
-        """One callable per generator, acting on a single column from the left.
+        """One callable per wall acting on a single column from the left: u -> u + a (q . u)."""
+        return tuple(_left_action(a, q) for a, q in self.reflections)
 
-        weights mode: the rank-1 update u - 2 u_i G[:, i].  mirrors mode:
-        slot i becomes -u_i - 2 sum_{j != i} g_ij u_j.
-        """
 
-        def weights(i, m):
-            def g(u):
-                ui = u[i]
-                return tuple([x + c * ui for x, c in zip(u, m)])
+def _left_action(a, q):
+    """u -> u + a (q . u); a unit q = e_j (every weights-mode wall) is read as u_j."""
+    support = [j for j, x in enumerate(q) if x]
+    unit = len(support) == 1 and q[support[0]] == 1
+    dot_q = itemgetter(support[0]) if unit else lambda u: sum(map(mul, q, u))
 
-            return g
+    def g(u):
+        t = dot_q(u)
+        return tuple([x + c * t for x, c in zip(u, a)])
 
-        def mirrors(i, row):
-            return lambda u: u[:i] + (u[i] + sum(map(mul, row, u)),) + u[i + 1 :]
-
-        make = weights if self.mode == "weights" else mirrors
-        g, idx = self.polytope.gram, range(self.rank)
-        return tuple(make(i, tight([-2 * g[k][i] for k in idx])) for i in idx)
+    return g
 
 
 @dataclass(frozen=True)
@@ -326,22 +308,24 @@ def apply_generator(cluster: Cluster, i: int) -> Cluster:
     system = cluster.system
     if not 0 <= i < system.rank:
         raise IndexError(f"generator index {i} out of range")
-    return replace(cluster, cols=_apply(cluster.cols, i, system.generator_columns[i], system.mode))
+    return replace(cluster, cols=_apply(cluster.cols, *system.reflections[i]))
 
 
-def _apply(cols, i, coeffs, mode):
-    if mode == "weights":
-        return cols[:i] + (tuple(sum(map(mul, coeffs, row)) for row in zip(*cols)),) + cols[i + 1 :]
-    return tuple(tuple(x + c * y for x, y in zip(col, cols[i])) for col, c in zip(cols, coeffs))
+def _apply(cols, a, q):
+    """C -> C (I + a q^T) = C + (C a) q^T: column j gains q_j times C a."""
+    ca = [sum(map(mul, a, row)) for row in zip(*cols)]
+    return tuple(
+        tuple([x + c * y for x, y in zip(col, ca)]) if c else col for col, c in zip(cols, q)
+    )
 
 
 def _word_levels(seed: Cluster, max_depth=None, stats=None):
     """The unpruned reduced-word walk over distinct clusters: levels of (cols, last) nodes."""
-    gens, mode = seed.system.generator_columns, seed.system.mode
+    gens = seed.system.reflections
 
     def expand(level):
         children = [
-            (_apply(c, i, a, mode), i) for c, last in level for i, a in enumerate(gens) if i != last
+            (_apply(c, a, q), i) for c, last in level for i, (a, q) in enumerate(gens) if i != last
         ]
         return children, 0
 
@@ -478,11 +462,12 @@ def enumerate_packing(
         return kept if box is None else set(filter(in_box, kept))
 
     if mode == "depth_limited":
-        stats, spheres, slots = {"slack": None}, set(seed_spheres), system.sphere_slots
+        stats, spheres = {"slack": None}, set(seed_spheres)
+        # the sphere columns that each generator changes: the slots j with q_j != 0
+        changed = [[j for j in system.sphere_slots if q[j]] for _, q in system.reflections]
         for level in _word_levels(seed, max_depth, stats):
             for cols, last in level:
-                if last in slots:  # the sphere columns that the last generator produced
-                    spheres.update(cols if system.mode == "mirrors" else [cols[last]])
+                spheres.update(cols[j] for j in changed[last])
         truncated = "depth_cut" in stats
     else:
         row, scale = kseed, 1
@@ -558,7 +543,7 @@ def default_slack(system: OrbitSystem) -> Fraction:
     """Pruning slack: 1 for circulant tangent-cluster Gram matrices, whose
     curvatures grow monotonically along reduced words from a bounded root
     (checked against exhaustive enumeration in the test suite), else 4."""
-    g = system.group_gram
+    g = system.polytope.gram
     n = len(g)
     values = {g[i][j] for i in range(n) for j in range(n) if i != j}
     if system.mode == "weights" and n >= 4 and values in ({Fraction(-1)}, {Fraction(-1, n - 3)}):
@@ -601,11 +586,17 @@ def _write_checkpoint(directory, meta: dict, spheres, frontier, depth) -> str:
     directory = directory or os.environ.get("PACKLAB_CHECKPOINT_DIR") or "."
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"packlab-checkpoint-{os.getpid()}-{time.time_ns()}.txt")
-    with open(path, "w") as fh:
-        fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(meta)}\nS {len(spheres)}\n")
-        fh.writelines(" ".join(map(str, col)) + "\n" for col in sorted(spheres))
-        fh.write(f"F {len(frontier)} {depth}\n")
-        fh.writelines(" ".join(map(str, col)) + "\n" for col, _ in frontier)
+    tmp = path + ".part"  # renamed into place once complete, removed if the write fails
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(meta)}\nS {len(spheres)}\n")
+            fh.writelines(" ".join(map(str, col)) + "\n" for col in sorted(spheres))
+            fh.write(f"F {len(frontier)} {depth}\n")
+            fh.writelines(" ".join(map(str, col)) + "\n" for col, _ in frontier)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return path
 
 

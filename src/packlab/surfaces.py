@@ -60,9 +60,8 @@ class SurfaceModel:
             raise PreconditionError(
                 f"surface lattice must be hyperbolic (one minority eigenvalue), got {(pos, neg)}"
             )
-        sign = 1 if pos == 1 else -1
         h2 = self.space.inner(self.ample, self.ample)
-        if sign * h2 <= 0:
+        if self.sign * h2 <= 0:
             raise PreconditionError(
                 f"distinguished class H must lie in the positive cone: (H, H) = {h2}"
             )
@@ -70,6 +69,11 @@ class SurfaceModel:
     @property
     def rank(self) -> int:
         return self.space.dim
+
+    @property
+    def sign(self) -> int:
+        """1 for signature (1, n), else -1: the positive cone is sign * (v, v) > 0."""
+        return 1 if self.space.signature[0] == 1 else -1
 
     @cached_property
     def report(self) -> ModelReport:
@@ -84,23 +88,8 @@ class SurfaceModel:
         return abs(self.space.inner(self.ample, v))
 
     def reflection_matrix(self, alpha) -> Matrix:
-        """Matrix (columns = images of basis vectors) of
-        v -> v - 2 (v, alpha)/(alpha, alpha) alpha."""
-        alpha = vec(alpha)
-        na = exact.mat_vec(self.space.gram, alpha)
-        a2 = exact.dot(alpha, na)
-        if a2 == 0:
-            raise PreconditionError("reflection vector has zero norm")
-        n = self.rank
-        return mat(
-            [
-                [
-                    (1 if r == c else 0) - 2 * alpha[r] * na[c] / a2
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-        )
+        """Column-acting matrix of v -> v - 2 (v, alpha)/(alpha, alpha) alpha."""
+        return exact.reflection_matrix(self.space.gram, alpha)
 
 
 def _class_of_rank(v, rank: int, label: str) -> Vector:
@@ -202,17 +191,11 @@ def _triangle(a, b, c) -> SurfaceModel:
     if min(a, b, c) < 1:
         raise ConfigError("triangle parameters must be >= 1")
     gram = mat([[1, -a, -b], [-a, 1, -c], [-b, -c, 1]])
-    gens = []
-    for i in range(3):
-        rows = [[Fraction(int(r == cc)) for cc in range(3)] for r in range(3)]
-        for j in range(3):
-            rows[i][j] -= 2 * gram[i][j]
-        gens.append(mat(rows))
     return SurfaceModel(
         name=f"triangle({a},{b},{c})",
         space=QuadraticSpace(gram),
         basis_labels=("e1", "e2", "e3"),
-        generators=tuple(gens),
+        generators=tuple(exact.reflection_matrix(gram, e) for e in exact.identity(3)),
         generator_labels=("s1", "s2", "s3"),
         ample=vec((1, 1, 1)),
         seed_class=vec((1, 0, 0)),
@@ -383,7 +366,8 @@ def orbit_count(
     can refuse exponent estimates for elementary groups.  threads is
     accepted for compatibility: the walk runs in one thread, and the value
     changes neither the work done nor the output.  Overrides of the seed
-    class and of H must have the model's rank.
+    class and of H must have the model's rank; an H outside the light cone
+    (sign * (H, H) < 0, with the model's sign) is refused, an isotropic H is not.
     """
     report = model.report
     if report.convention == "none":
@@ -399,6 +383,9 @@ def orbit_count(
     h = _class_of_rank(
         model.ample if ample is None else ample, model.rank, "distinguished class H"
     )
+    h2 = model.inner(h, h)
+    if model.sign * h2 < 0:
+        raise PreconditionError(f"distinguished class H lies outside the light cone: (H, H) = {h2}")
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]

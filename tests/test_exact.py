@@ -93,3 +93,12 @@ def test_sqrt_rational():
     assert exact.sqrt_rational(F(2)) is None
     assert exact.sqrt_rational(F(-1)) is None
     assert exact.sqrt_rational(F(0)) == 0
+
+
+def test_reflection_rank_one_update():
+    g = exact.mat([[1, F(-3, 2), F(-3, 2)], [F(-3, 2), 1, F(-3, 2)], [F(-3, 2), F(-3, 2), 1]])
+    a, q = exact.reflection(g, (1, 0, 0))
+    # a q^T = -2 e_0 G[0, :], written with q a primitive integer vector
+    assert (a, q) == ((-1, 0, 0), (2, -3, -3))
+    assert all(type(x) is int for x in a + q)
+    assert exact.reflection_matrix(g, (1, 0, 0)) == exact.mat([[-1, 3, 3], [0, 1, 0], [0, 0, 1]])

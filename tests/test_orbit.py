@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from packlab import catalog, exact
 from packlab.errors import CheckpointError, NormalizationError, PackingError, PreconditionError
 from packlab.inversive import EuclideanSphere, SphereVector, sphere_from_vector
 from packlab.orbit import (
+    Cluster,
+    OrbitSystem,
     apply_generator,
     certify_integral,
     enumerate_packing,
@@ -472,3 +475,53 @@ def test_boyd_packing_property_sampled():
             continue
         prod = exact.dot(exact.vec(x), exact.mat_vec(base, exact.vec(y)))
         assert prod <= -1
+
+
+def test_failed_checkpoint_write_leaves_no_file(tmp_path, monkeypatch, apollonian_seed):
+    def fail(meta):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(pl.orbit, "json", SimpleNamespace(dumps=fail))
+    with pytest.raises(OSError, match="disk full"):
+        enumerate_packing(
+            apollonian_seed, bound=2000, max_vectors=40, checkpoint_dir=str(tmp_path)
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+def _hand_reflection(g, i, mode):
+    """Wall reflection i written out: I - 2 G[:, i] e_i^T on weight
+    coordinates, I - 2 e_i G[i, :] on mirror coordinates."""
+    n = len(g)
+    if mode == "weights":
+        return [[int(r == c) - 2 * g[r][i] * (c == i) for c in range(n)] for r in range(n)]
+    return [[int(r == c) - 2 * (r == i) * g[i][c] for c in range(n)] for r in range(n)]
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [
+        ("apollonian2", "weights"),
+        ("apollonian3", "weights"),
+        ("boyd", "weights"),
+        ("ideal-triangle", "mirrors"),
+        ("apollonian2", "mirrors"),
+    ],
+)
+def test_generators_match_reflection_matrices(name, mode):
+    p = pl.polytope(name)
+    system, n = OrbitSystem(p, mode), p.rank
+    units = [tuple(int(r == c) for r in range(n)) for c in range(n)]
+    generic = [tuple((3 * r + 5 * c) % 7 - 3 for r in range(n)) for c in range(n)]
+    cluster = Cluster(system=system, cols=tuple(generic))
+    for i in range(n):
+        rmat = _hand_reflection(p.gram, i, mode)
+        for u in units + generic:
+            want = tuple(sum(rmat[r][k] * u[k] for k in range(n)) for r in range(n))
+            assert system.left_generators[i](u) == want
+        # the cluster step is the right action C -> C R_i: column j is C . R_i[:, j]
+        want = tuple(
+            tuple(sum(generic[k][r] * rmat[k][j] for k in range(n)) for r in range(n))
+            for j in range(n)
+        )
+        assert apply_generator(cluster, i).cols == want

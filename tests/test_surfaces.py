@@ -283,3 +283,22 @@ def test_wrong_length_classes_refused(tmp_path):
     bad = tmp_path / "model.json"
     bad.write_text('[["1", "0"], ["0", "1"]]')
     assert cli.main(["surface", "--model-file", str(bad)]) == 2
+
+
+def test_ample_outside_light_cone_refused(capsys):
+    m = builtin_model("baragar_p2p2")
+    # (H, H) = -2 puts H outside the light cone
+    with pytest.raises(PreconditionError, match="light cone"):
+        orbit_count(m, 200, ample=(0, 1, 0))
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--T", "200", "--H", "0,1,0"]
+    assert cli.main(argv) == 3
+    assert "light cone" in capsys.readouterr().err
+    # -H lies in the negative cone and gives the same degrees |(H, C')|
+    assert orbit_count(m, 200, ample=(-1, -1, -1)).degrees == (3, 12, 45, 135, 144)
+    assert orbit_count(m, 200).degrees == (3, 12, 45, 135, 144)
+
+
+def test_zero_norm_reflection_refused():
+    # (f, f) = 0 for the fibre class f
+    with pytest.raises(PreconditionError, match="zero norm"):
+        builtin_model("baragar_p2p2").reflection_matrix((1, 0, 0))
