@@ -4,7 +4,7 @@ A packing containing curvature-zero members has infinitely many circles
 below any curvature bound, so counting is restricted to a box; the
 enumeration prunes on the curvature seen from a seed circle's center,
 which is bounded for every circle centred in the box, and the
-doubled-slack rerun guards the result.
+doubled-slack recheck guards the result.
 """
 
 import packlab as pl

@@ -136,7 +136,7 @@ def congruent(b: Matrix, g: Matrix) -> Matrix:
 def det(a: Matrix) -> Fraction:
     """Determinant by fraction Gaussian elimination with partial pivoting."""
     n = len(a)
-    m = [list(row) for row in a]
+    m = [[rat(x) for x in row] for row in a]
     sign = 1
     d = Fraction(1)
     for k in range(n):
@@ -158,7 +158,7 @@ def det(a: Matrix) -> Fraction:
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
     n = len(a)
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [[rat(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:

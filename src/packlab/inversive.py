@@ -87,10 +87,15 @@ class EuclideanSphere:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "curvature", rat(self.curvature))
-        object.__setattr__(self, "center", vec(self.center))
-        object.__setattr__(self, "normal", vec(self.normal))
-        object.__setattr__(self, "offset", rat(self.offset))
+        # fields that are already exact (Fractions, tuples of them) are kept as
+        # they are: sphere_from_row builds every output sphere that way
+        for name in ("curvature", "offset"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, rat(getattr(self, name)))
+        for name in ("center", "normal"):
+            v = getattr(self, name)
+            if type(v) is not tuple or any(type(x) is not Fraction for x in v):
+                object.__setattr__(self, name, vec(v))
         if self.kind == "sphere":
             if self.curvature == 0:
                 raise PreconditionError("a sphere needs nonzero curvature")

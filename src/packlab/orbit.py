@@ -31,7 +31,9 @@ it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
 
 Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
-expanded, and the walk's set of seen vectors is the sphere set.  Where
+expanded, and the walk's set of seen vectors is the sphere set.  A sphere
+is never reflected back in the wall that made it, and the doubled-slack
+recheck continues the walk instead of replaying it.  Where
 the slack-1 default applies (the circulant tangent-cluster packings), a
 seed that some generator lowers is refused: it is not a root, and the
 walk from it undercounts.  A budgeted run writes a checkpoint holding its
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_row, vector_from_sphere
-from .walk import bounded_walk, walk
+from .walk import bounded_walk, involution, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
 
@@ -132,7 +134,8 @@ class OrbitSystem:
 
 
 def _left_action(a, q):
-    """u -> u + a (q . u); a unit q = e_j (every weights-mode wall) is read as u_j."""
+    """u -> u + a (q . u), an involution; a unit q = e_j (every weights-mode
+    wall) is read as u_j."""
     support = [j for j, x in enumerate(q) if x]
     unit = len(support) == 1 and q[support[0]] == 1
     dot_q = itemgetter(support[0]) if unit else lambda u: sum(map(mul, q, u))
@@ -141,7 +144,7 @@ def _left_action(a, q):
         t = dot_q(u)
         return tuple([x + c * t for x, c in zip(u, a)])
 
-    return g
+    return involution(g)
 
 
 @dataclass(frozen=True)
@@ -399,8 +402,9 @@ def enumerate_packing(
     bounded mode walks the orbits of the seed spheres, one sphere per node,
     and keeps spheres with 0 < curvature <= bound plus every seed member.
     It prunes a sphere whose height exceeds slack times the height bound;
-    a rerun at doubled slack marks the result truncated if the two runs
-    disagree below the bound.  The height is |curvature|; with a box it is
+    a recheck at doubled slack, continuing the walk from the spheres it
+    pruned, marks the result truncated if it finds a sphere below the
+    bound that the walk missed.  The height is |curvature|; with a box it is
     the curvature seen from p, the center of the first seed sphere of
     positive curvature, at most bound * D^2 for a sphere centred in the
     box (D: the farthest box corner from p).  Where the default slack is 1,
@@ -592,7 +596,7 @@ def _write_checkpoint(directory, meta: dict, spheres, frontier, depth) -> str:
             fh.write(f"{CHECKPOINT_MAGIC}\n{json.dumps(meta)}\nS {len(spheres)}\n")
             fh.writelines(" ".join(map(str, col)) + "\n" for col in sorted(spheres))
             fh.write(f"F {len(frontier)} {depth}\n")
-            fh.writelines(" ".join(map(str, col)) + "\n" for col, _ in frontier)
+            fh.writelines(" ".join(map(str, col)) + "\n" for col, _, _ in frontier)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -640,9 +644,9 @@ def resume_enumeration(seed: Cluster, path: str, **kwargs) -> PackingOrbit:
     curvatures, bound, slack and box); a mismatch, or a file without
     them, is refused.  The checkpoint's spheres start out seen, so the
     walk does not revisit them.  The doubled-slack convergence recheck
-    replays from the checkpoint frontier, so it validates the resumed
-    portion only; branches pruned before the checkpoint was written are
-    not revisited.
+    continues from the spheres pruned since the resume, so it validates
+    the resumed portion only; branches pruned before the checkpoint was
+    written are not revisited.
     """
     meta, spheres, frontier = load_checkpoint(path)
     depth = frontier[0][1] if frontier else 0  # the writer stores a single level

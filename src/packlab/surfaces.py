@@ -33,7 +33,7 @@ from .errors import ConfigError, DimensionError, PreconditionError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
-from .walk import bounded_walk
+from .walk import bounded_walk, involution
 
 
 @dataclass(frozen=True)
@@ -360,8 +360,11 @@ def orbit_count(
     """Count orbit classes C' of the seed class with |(H, C')| <= bound.
 
     Breadth-first over group words with exact dedup of image vectors; a
-    branch is pruned once its degree exceeds slack * bound, and a rerun at
-    doubled slack flags the count truncated if it disagrees.  A finite
+    branch is pruned once its degree exceeds slack * bound, and a recheck
+    at doubled slack, continuing from the pruned classes, flags the count
+    truncated if it finds a class within the bound that the walk missed.
+    A class made by an involutive generator (A A = I, tested once per
+    count) never tries that generator again.  A finite
     orbit (frontier exhausted with nothing pruned) is reported so callers
     can refuse exponent estimates for elementary groups.  threads is
     accepted for compatibility: the walk runs in one thread, and the value
@@ -392,12 +395,18 @@ def orbit_count(
     hrow = tight(exact.mat_vec(model.space.gram, h))
     seed_t = tight(seed)
     d0 = abs(sum(map(mul, hrow, seed_t)))
-    actions = [lambda v, a=a: tuple([sum(map(mul, r, v)) for r in a]) for a in tight(generators)]
+    one = exact.identity(model.rank)
+    actions = []
+    for a in generators:
+        def g(v, a=tight(a)):
+            return tuple([sum(map(mul, r, v)) for r in a])
+
+        actions.append(involution(g) if exact.mat_mul(a, a) == one else g)
 
     def run(levels, seen) -> dict:
         collected = {seed_t: d0} if d0 <= bound else {}
         for level in levels:
-            for w, deg in level:
+            for w, deg, _ in level:
                 if deg <= bound:
                     collected[w] = deg
             if len(seen) > MAX_NODES:

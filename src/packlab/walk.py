@@ -10,13 +10,16 @@ walk then drops the children whose key it has already seen.
 surface counts both count the orbits of a few integer vectors under
 generators acting from the left, cut off by the height ``|row . v|``.  It
 holds the pruning limit, the doubled-slack recheck and every work
-counter; its callers only collect outputs and enforce budgets.  Roots are
-always expanded, and ``known`` vectors (a resumed checkpoint's spheres)
-start out seen, so the walk does not walk them again.
+counter; its callers only collect outputs and enforce budgets.  Roots
+are always expanded, and ``known`` vectors (a resumed checkpoint's
+spheres) start out seen, so the walk does not walk them again.  It builds
+each node once: the recheck continues the first walk instead of
+replaying it, and an ``involution`` is never applied back to a parent.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -31,21 +34,25 @@ def walk(
     stats: Optional[dict] = None,
     max_depth: Optional[int] = None,
     depth: int = 0,
+    held=(),
 ) -> Iterator[list]:
     """Yield each level below the roots in turn; the last one yielded is empty.
 
     A child whose key (first field) is in ``seen`` is dropped; the roots'
     keys and every kept child's key are added to it.  The roots sit at
     ``depth``, and a level at ``max_depth`` is cut: not expanded, its
-    nodes counted as ``depth_cut`` and as pruned.  ``stats`` receives
-    ``expanded`` (children generated), ``pruned`` and ``max_frontier``
-    (largest level, roots included).
+    nodes counted as ``depth_cut`` and as pruned.  ``held`` is a deque of
+    extra children, one iterable of nodes per level below the roots, that
+    join those levels as if expanded there; the walk pops each one as it
+    uses it and goes on while any is left.  ``stats`` receives
+    ``expanded`` (children generated, held ones not included), ``pruned``
+    and ``max_frontier`` (largest level, roots included).
     """
     stats = {} if stats is None else stats
     level = list(roots)
     seen.update(node[0] for node in level)
     stats.update(expanded=0, pruned=0, max_frontier=len(level))
-    while level:
+    while level or held:
         if max_depth is not None and depth >= max_depth:
             stats["pruned"] += len(level)
             stats["depth_cut"] = len(level)
@@ -54,6 +61,8 @@ def walk(
         children, pruned = expand(level)
         stats["expanded"] += len(children) + pruned
         stats["pruned"] += pruned
+        if held:
+            children += held.popleft()
         level = []
         for child in children:
             if child[0] not in seen:
@@ -64,6 +73,13 @@ def walk(
         yield level
 
 
+def involution(g: Callable) -> Callable:
+    """Mark the generator g as its own inverse, so ``bounded_walk`` never
+    applies it to a node it made: that would only give back the parent."""
+    g.involution = True
+    return g
+
+
 def bounded_walk(
     roots: Sequence[tuple], generators: Sequence[Callable], row: Sequence, bound, slack,
     run: Callable, below: Callable, max_depth=None, check=True, depth=0, known=(),
@@ -71,48 +87,79 @@ def bounded_walk(
     """The orbit of the root vectors, pruned beyond ``bound * slack``, and its recheck.
 
     Each generator is a callable acting on a vector from the left.  A node
-    is ``(vector, |row . vector|)``; a child whose height is beyond the
-    limit (an int when integral) is pruned, and dedup is by vector.
-    ``run(levels, seen)`` consumes one pass's levels and returns its
-    outputs, a set or a dict; ``seen`` is the pass's live set of vectors:
-    ``known``, the roots and every child kept so far.  With ``check``, a
-    walk that pruned something is rerun at twice the slack; one that
-    pruned nothing already reached every node.  If ``below`` (the outputs
-    within the counting bound) differs between the two, the first walk
-    missed a branch: the union of both is returned.
+    is ``(vector, |row . vector|, index of the generator that made it)``,
+    -1 for a root, and a generator marked ``involution`` is not tried on a
+    node it made.  A child beyond the limit (an int when integral) is
+    pruned, and dedup is by vector.  ``run(levels, seen)`` consumes one
+    pass's levels and returns its outputs, a set or a dict; ``seen`` is
+    the live set of vectors: ``known``, the roots and every child kept so
+    far.  With ``check``, a walk that pruned something is rechecked at
+    twice the limit; one that pruned nothing already reached every node.
+    The recheck is a second ``run`` on the same ``seen``: each level takes
+    the children the walk pruned there within twice the limit, and only
+    nodes new to ``seen`` are expanded.  Without a depth cap it reaches
+    what a fresh walk at twice the limit reaches, since the first node of
+    any path outside the walk's set is such a child; it counts levels as
+    the walk does, so ``max_depth`` cuts it at the same level.  If its
+    outputs within the counting bound (``below``) hold any that the
+    walk's lack, the walk missed a branch: the union of both is returned.
 
-    Returns (outputs, stats, truncated): a disagreement or a depth cut
-    truncates; stats holds the first walk's counters, ``slack`` and
-    ``recheck_expanded``.
+    Returns (outputs, stats, truncated): a disagreement or a first-walk
+    depth cut truncates; stats holds the first walk's counters, ``slack``
+    and ``recheck_expanded``, the children the recheck generated.
     """
     if rat(slack) < 1:
         raise PreconditionError("slack must be >= 1")
+    limit, far = (tight(rat(bound) * rat(slack) * factor) for factor in (1, 2))
+    # the generators a node tries, by the index of the one that made it;
+    # roots (-1) try every generator
+    every = list(enumerate(generators))
+    tries = [
+        [(j, f) for j, f in every if j != i or not getattr(g, "involution", False)]
+        for i, g in every
+    ] + [every]
 
-    def one(factor):
-        limit = tight(rat(bound) * rat(slack) * factor)
+    def expansion(cut, hold=None):
+        """Expand a level, pruning beyond ``cut``; with ``hold``, append the
+        level's pruned children within ``far`` to it as one list of
+        (parent vector, generator index) pairs."""
 
         def expand(level):
-            children, pruned = [], 0
-            for v, _ in level:
-                for g in generators:
+            children, near, pruned = [], [], 0
+            for v, _, last in level:
+                for i, g in tries[last]:
                     w = g(v)
                     h = abs(sum(map(mul, row, w)))
-                    if h <= limit:
-                        children.append((w, h))
+                    if h <= cut:
+                        children.append((w, h, i))
                     else:
                         pruned += 1
+                        if hold is not None and h <= far:
+                            near.append((v, i))
+            if hold is not None:
+                hold.append(near)
             return children, pruned
 
-        stats, seen = {}, set(known)
-        nodes = [(v, abs(sum(map(mul, row, v)))) for v in roots]
-        return run(walk(nodes, expand, seen, stats, max_depth, depth), seen), stats
+        return expand
 
-    outputs, stats = one(1)
+    def rebuild(near):
+        # a held child is built again when the recheck reaches its level, so
+        # until then it costs a pair, not a vector
+        for v, i in near:
+            w = generators[i](v)
+            yield w, abs(sum(map(mul, row, w))), i
+
+    stats, seen, held = {}, set(known), [] if check else None
+    nodes = [(v, abs(sum(map(mul, row, v))), -1) for v in roots]
+    outputs = run(walk(nodes, expansion(limit, held), seen, stats, max_depth, depth), seen)
     truncated = "depth_cut" in stats
     if check and stats["pruned"]:
-        wide, wide_stats = one(2)
-        stats["recheck_expanded"] = wide_stats["expanded"]
-        if below(outputs) != below(wide):
-            outputs, truncated = outputs | wide, True
+        # outputs may be seen itself, which the recheck grows
+        before, wide = set(below(outputs)), {}
+        held = deque(map(rebuild, held))
+        more = run(walk([], expansion(far), seen, wide, max_depth, depth, held), seen)
+        stats["recheck_expanded"] = wide["expanded"]
+        if not before.issuperset(below(more)):
+            outputs, truncated = outputs | more, True
     stats["slack"] = str(slack)
     return outputs, stats, truncated

@@ -24,6 +24,18 @@ def test_inverse_and_det():
         exact.inverse(exact.mat([[1, 1], [1, 1]]))
 
 
+def test_inverse_and_det_of_plain_int_matrices():
+    # plain ints, not mat(): int / int division would make floats
+    inv = exact.inverse([[2, 1], [1, 3]])
+    assert inv == ((F(3, 5), F(-1, 5)), (F(-1, 5), F(2, 5)))
+    assert all(type(x) is F for row in inv for x in row)
+    d = exact.det([[2, 1], [1, 3]])
+    assert d == 5 and type(d) is F
+    assert exact.det([[0, 2, 1], [3, 1, 2], [1, 1, 2]]) == -6  # row swap at the first pivot
+    with pytest.raises(TypeError):
+        exact.det([[0.5, 1], [1, 2]])
+
+
 def test_inertia_known_cases():
     assert exact.inertia(exact.mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])) == (2, 1, 0)
     ap = exact.mat([[1, -1, -1, -1], [-1, 1, -1, -1], [-1, -1, 1, -1], [-1, -1, -1, 1]])

@@ -255,6 +255,26 @@ def test_model_from_config_round_trip():
         model_from_config({"gram": [[0]]})
 
 
+def test_non_involutive_generator_counts_alike():
+    # deck1 * deck2 is not an involution; with deck2 and the negation it
+    # generates the same group, so the count must not change, and a class
+    # it made must try it again
+    m = builtin_model("baragar_p2p2")
+    a1, a2, a3 = m.generators
+    prod = exact.mat_mul(a1, a2)
+    assert exact.mat_mul(prod, prod) != exact.identity(3)
+    mixed = dataclasses.replace(
+        m,
+        generators=(prod, a2, a3),
+        generator_labels=("deck1*deck2", "deck2", "negation"),
+        reflection_vectors=None,
+        reflection_words=None,
+        alpha_gram_expected=None,
+    )
+    got, want = orbit_count(mixed, 10**5), orbit_count(m, 10**5)
+    assert not got.truncated and got.degrees == want.degrees
+
+
 def test_truncated_count_refused_for_exponent():
     oc = orbit_count(builtin_model("baragar_p2p2"), 10**6)
     oc.estimate_exponent()

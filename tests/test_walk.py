@@ -1,13 +1,14 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from packlab import catalog, surfaces
 from packlab.errors import PreconditionError
 from packlab.orbit import enumerate_packing
-from packlab.walk import bounded_walk, walk
+from packlab.walk import bounded_walk, involution, walk
 
 
 def _expand(level):
@@ -77,7 +78,11 @@ def test_recheck_takes_union_on_disagreement():
     out, stats, truncated = bounded_walk([(1,)], STEPS, (1,), "3", 2, _collect, _below)
     assert (out, truncated) == ({1, 2, 3, 4, 5, 6}, False)
     assert set(Height.limits) == {6, 12} and all(type(x) is int for x in Height.limits)
-    assert stats["recheck_expanded"] > stats["expanded"] == 12
+    assert stats["expanded"] == 12
+    # the recheck continues the first walk: it expands only the nodes that
+    # walk lacks, 8 (held at level 3), 7, 9, 10, 12 (level 4) and 11
+    # (level 5), two children each; a replay from the root expanded 24
+    assert stats["recheck_expanded"] == 12
     assert stats["slack"] == "2"
     # limit 3 misses 4, which the walk at limit 6 finds: the union, truncated
     out, stats, truncated = bounded_walk([(1,)], STEPS, (1,), 3, 1, _collect, _below)
@@ -106,6 +111,91 @@ def test_bounded_walk_skips_recheck_when_nothing_pruned():
     )
     assert (out, truncated) == ({1, 2, 3, 4, 5, 8}, True)
     assert stats["depth_cut"] == 2 and stats["expanded"] == 6
+
+
+def test_involution_is_not_applied_to_a_node_it_made():
+    flip = involution(lambda v: (-v[0],))
+    out, stats, _ = bounded_walk(
+        [(1,)], [flip, lambda v: (v[0] + 1,)], (1,), 3, 1, _collect, _below, check=False
+    )
+    assert out == {-3, -2, -1, 0, 1, 2, 3}
+    # -1, -2 and -3 are made by the flip and never flipped back to their
+    # parents: 11 children where trying every generator makes 14
+    assert stats["expanded"] == 11 and stats["pruned"] == 1
+
+
+def _generator(kind, c, marked):
+    """A fresh generator on (n, t) vectors, t in {0, 1, 2}; the height is |n|.
+
+    shift and double are not involutions; reflect and turn are, and are
+    marked as such when ``marked``.  Every orbit within a height bound is
+    finite, so every walk ends.
+    """
+    if kind == "shift":
+        return lambda v: (v[0] + c, (v[1] + 1) % 3)
+    if kind == "double":
+        return lambda v: (2 * v[0], v[1])
+    g = (lambda v: (c - v[0], v[1])) if kind == "reflect" else (lambda v: (v[0], -v[1] % 3))
+    return involution(g) if marked else g
+
+
+def _fresh_walk(roots, generators, limit, max_depth):
+    """Oracle: one walk from the roots at ``limit`` that tries every generator
+    on every node.  Returns each reached vector's level, and the counters."""
+    def expand(level):
+        children = [(g(v),) for v, in level for g in generators]
+        kept = [c for c in children if abs(c[0][0]) <= limit]
+        return kept, len(children) - len(kept)
+
+    level_of, stats = dict.fromkeys(roots, 0), {}
+    levels = walk([(v,) for v in roots], expand, set(), stats, max_depth)
+    for depth, level in enumerate(levels, 1):
+        level_of.update((v, depth) for v, in level)
+    return level_of, stats
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["shift", "double", "reflect", "turn"]), st.integers(-4, 8), st.booleans()),
+        min_size=2, max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(-6, 12), st.integers(0, 2)), min_size=1, max_size=3),
+    st.integers(0, 20),
+    st.sampled_from([1, Fraction(3, 2), 2, 3]),
+    st.none() | st.integers(0, 8),
+)
+def test_bounded_walk_matches_two_fresh_walks(specs, roots, bound, slack, max_depth):
+    generators = [_generator(*spec) for spec in specs]
+
+    def run(levels, seen):
+        out = set(roots)
+        for level in levels:
+            out.update(node[0] for node in level)
+        return out
+
+    def below(out):
+        return {v for v in out if abs(v[0]) <= bound}
+
+    out, _, truncated = bounded_walk(roots, generators, (1, 0), bound, slack, run, below, max_depth)
+    # the oracle: a fresh walk at the limit and, if it pruned anything, one
+    # at twice the limit, whose outputs join the first's on disagreement
+    first, stats = _fresh_walk(roots, generators, bound * slack, max_depth)
+    want, want_truncated, second = set(first), "depth_cut" in stats, first
+    if stats["pruned"]:
+        second = _fresh_walk(roots, generators, 2 * bound * slack, max_depth)[0]
+        if below(first) != below(second):
+            want, want_truncated = want | set(second), True
+    if max_depth is None or all(second[v] == d for v, d in first.items()):
+        assert (out, truncated) == (want, want_truncated)
+    else:
+        # the recheck counts levels as the first walk does; where a path
+        # through heights beyond the limit reaches one of the first walk's
+        # nodes sooner, the depth cap can cut a branch a fresh walk at
+        # twice the limit keeps, and never the other way round
+        event("a wider path reaches a node sooner")
+        assert set(first) <= out <= set(first) | set(second)
+        assert want_truncated or not truncated
 
 
 @settings(max_examples=12, deadline=None)
