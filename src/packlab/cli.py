@@ -200,6 +200,8 @@ def cmd_surface(args) -> int:
     if not report.all_passed:
         raise PreconditionError("model verification failed; not counting")
     if args.count or args.fit:
+        if args.T is None:
+            raise ConfigError("surface --count and --fit need a degree bound --T")
         seed = vec(_parse_rationals(args.C)) if args.C else None
         ample = vec(_parse_rationals(args.H)) if args.H else None
         oc = surfaces.orbit_count(

@@ -33,10 +33,10 @@ Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
 expanded, and the walk's set of seen vectors is the sphere set.  A sphere
 is never reflected back in the wall that made it, and the doubled-slack
-recheck continues the walk instead of replaying it.  Where
-the slack-1 default applies (the circulant tangent-cluster packings), a
-seed that some generator lowers is refused: it is not a root, and the
-walk from it undercounts.  A budgeted run writes a checkpoint holding its
+recheck continues the walk instead of replaying it.  A weights-mode seed
+that some generator lowers is refused (``_refuse_non_root``); one that
+passes is complete at slack 1 without a box, the weights-mode default
+(mirrors mode: 4).  A budgeted run writes a checkpoint holding its
 spheres, its frontier and what the frontier depends on (mode, rank, seed
 curvatures, bound, slack and box); a resume must match all of them, and
 the checkpoint's spheres start out seen (``known``).
@@ -407,9 +407,10 @@ def enumerate_packing(
     bound that the walk missed.  The height is |curvature|; with a box it is
     the curvature seen from p, the center of the first seed sphere of
     positive curvature, at most bound * D^2 for a sphere centred in the
-    box (D: the farthest box corner from p).  Where the default slack is 1,
-    a seed that is not a root cluster is refused.  depth_limited mode expands
-    every reduced word up to max_depth, which it requires, without pruning;
+    box (D: the farthest box corner from p).  A weights-mode seed must pass
+    ``_refuse_non_root``, which makes the default slack 1 complete without a
+    box; mirrors mode defaults to 4.  depth_limited mode expands every
+    reduced word up to max_depth, which it requires, without pruning;
     a sphere's walk level is the depth at which that walk creates it, so
     max_depth means the same in both modes.  With a box, a sphere (seed
     members of curvature > 0 included) is kept only when its exact center
@@ -438,10 +439,10 @@ def enumerate_packing(
             )
         if box is not None and seed.realization is None:
             raise PackingError("box counting needs a seed with exact geometry")
-        if default_slack(system) == 1:
+        if system.mode == "weights":
             _refuse_non_root(seed)
         if slack is None:
-            slack = default_slack(system)
+            slack = 1 if system.mode == "weights" else 4
     bound = None if bound is None else rat(bound)
     if box is not None:
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
@@ -528,31 +529,24 @@ def enumerate_packing(
 
 
 def _refuse_non_root(seed: Cluster) -> None:
-    """Refuse a seed that some generator lowers.
+    """Refuse a weights-mode seed that some generator lowers (the wall check).
 
-    Curvatures grow along reduced words only from a root cluster, which
-    the slack-1 default relies on; from a non-root seed the walk can
-    undercount, even at a larger slack, without the recheck noticing.
+    Wall i moves only slot i, to curvature k_i + k.a_i (a_i: the wall's
+    update vector).  If no k.a_i is negative, curvature never falls from a
+    sphere's canonical parent s_i u to u (the numbers game: Humphreys,
+    *Reflection Groups and Coxeter Groups*, 5.13), so every sphere under
+    the bound has a chain of ancestors under it and slack 1 is complete
+    without a box.  From any other seed the walk can undercount, even at a
+    larger slack, without the recheck noticing.
     """
-    for i, k in enumerate(seed.curvatures):
-        lower = apply_generator(seed, i).curvatures[i]
-        if lower < k:
+    k = seed.curvatures
+    for i, (a, _) in enumerate(seed.system.reflections):
+        lower = k[i] + dot(k, a)
+        if lower < k[i]:
             raise PreconditionError(
-                f"seed slot {i} (curvature {k}) is not at a root: generator {i} lowers "
+                f"seed slot {i} (curvature {k[i]}) is not at a root: generator {i} lowers "
                 f"it to {lower}; seed the root cluster"
             )
-
-
-def default_slack(system: OrbitSystem) -> Fraction:
-    """Pruning slack: 1 for circulant tangent-cluster Gram matrices, whose
-    curvatures grow monotonically along reduced words from a bounded root
-    (checked against exhaustive enumeration in the test suite), else 4."""
-    g = system.polytope.gram
-    n = len(g)
-    values = {g[i][j] for i in range(n) for j in range(n) if i != j}
-    if system.mode == "weights" and n >= 4 and values in ({Fraction(-1)}, {Fraction(-1, n - 3)}):
-        return Fraction(1)
-    return Fraction(4)
 
 
 def certify_integral(orbit: PackingOrbit):

@@ -370,7 +370,8 @@ def orbit_count(
     accepted for compatibility: the walk runs in one thread, and the value
     changes neither the work done nor the output.  Overrides of the seed
     class and of H must have the model's rank; an H outside the light cone
-    (sign * (H, H) < 0, with the model's sign) is refused, an isotropic H is not.
+    (sign * (H, H) < 0, with the model's sign) is refused, and so is H = 0,
+    whose degrees are all 0 and prune nothing; a nonzero isotropic H is not.
     """
     report = model.report
     if report.convention == "none":
@@ -389,6 +390,8 @@ def orbit_count(
     h2 = model.inner(h, h)
     if model.sign * h2 < 0:
         raise PreconditionError(f"distinguished class H lies outside the light cone: (H, H) = {h2}")
+    if not any(h):
+        raise PreconditionError("distinguished class H is zero: every degree is 0")
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]

@@ -134,10 +134,22 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
-def test_pack_refuses_non_root_seed(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "source, seed",
+    [
+        (["--catalog", "apollonian2"], "146,18,23,27"),
+        # boyd's Gram as a custom weights-mode packing
+        (["--gram-file", "boyd.json"], "11,2,4,3"),
+    ],
+    ids=["catalog", "gram-file"],
+)
+def test_pack_refuses_non_root_seed(tmp_path, capsys, monkeypatch, source, seed):
     # one swap from the root quadruple: the slack-1 default would undercount
+    monkeypatch.chdir(tmp_path)
+    gram = [[1, -1, 0, -1], [-1, 1, -1, 0], [0, -1, 1, -1], [-1, 0, -1, 1]]
+    (tmp_path / "boyd.json").write_text(json.dumps({"gram": gram}))
     out = str(tmp_path / "s.csv")
-    argv = ["pack", "--catalog", "apollonian2", "--seed", "146,18,23,27", "--T", "100", "--out", out]
+    argv = ["pack", *source, "--seed", seed, "--T", "100", "--out", out]
     assert run(argv) == 3
     assert "slot 0" in capsys.readouterr().err
 
@@ -165,6 +177,12 @@ def test_lattice_basis(capsys):
     )
     out = capsys.readouterr().out
     assert "[1, 0, 0, 0]" in out
+
+
+def test_surface_count_needs_bound(capsys):
+    for flag in ("--count", "--fit"):
+        assert run(["surface", "--model", "baragar_p2p2", flag]) == 2
+        assert "--T" in capsys.readouterr().err
 
 
 def test_lattice_errors():

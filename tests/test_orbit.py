@@ -182,6 +182,15 @@ def test_boyd_enumeration_bounded():
     assert all(k.denominator == 1 for k in ks)  # integral packing
 
 
+@pytest.mark.parametrize("bound", [60, 300])
+def test_boyd_default_slack_is_complete(bound):
+    # the wall check passes, so the slack-1 default misses nothing
+    seed = pl.packing_seed("boyd")
+    orb = enumerate_packing(seed, bound=bound)
+    assert orb.stats["slack"] == "1" and not orb.truncated
+    assert orb.spheres == enumerate_packing(seed, bound=bound, slack=4).spheres
+
+
 def test_unbounded_needs_box():
     band = catalog.band_seed()
     with pytest.raises(PackingError, match="box"):
@@ -378,7 +387,12 @@ def test_checkpoint_refuses_another_box_and_bound(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, curvatures", [("apollonian2", (146, 18, 23, 27)), ("apollonian3", (11, 2, 2, 3, 3))]
+    "name, curvatures",
+    [
+        ("apollonian2", (146, 18, 23, 27)),
+        ("apollonian3", (11, 2, 2, 3, 3)),
+        ("boyd", (11, 2, 4, 3)),
+    ],
 )
 def test_non_root_seed_refused(name, curvatures):
     # one swap from the root: slot 0 has a lowering generator, so the

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import packlab as pl
 from packlab import cli, exact
 from packlab.errors import ConfigError, DimensionError, PreconditionError, TruncatedCurveError
+from packlab.lattices import tangent_cluster_gram
 from packlab.surfaces import (
     SurfaceModel,
     builtin_model,
@@ -316,6 +318,32 @@ def test_ample_outside_light_cone_refused(capsys):
     # -H lies in the negative cone and gives the same degrees |(H, C')|
     assert orbit_count(m, 200, ample=(-1, -1, -1)).degrees == (3, 12, 45, 135, 144)
     assert orbit_count(m, 200).degrees == (3, 12, 45, 135, 144)
+
+
+def test_zero_ample_refused_isotropic_allowed(capsys):
+    # H = 0 passes the light-cone test, but its degrees are all 0 and the
+    # walk would prune nothing
+    m = builtin_model("baragar_p2p2")
+    with pytest.raises(PreconditionError, match="zero"):
+        orbit_count(m, 100, ample=(0, 0, 0))
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--T", "100", "--H", "0,0,0"]
+    assert cli.main(argv) == 3
+    assert "zero" in capsys.readouterr().err
+    # a nonzero isotropic H is counted: the Apollonian gasket as a lattice
+    # model, where H = G^-1 k pairs each circle's class with its curvature
+    seed = pl.packing_seed("apollonian2")
+    gram = tangent_cluster_gram(2)
+    system = seed.system
+    gens = [exact.reflection_matrix(system.basis_gram, w) for w in system.polytope.gram]
+    cfg = {"gram": gram, "generators": gens, "H": (1, 1, 1, 1), "C": (1, 0, 0, 0)}
+    gasket = model_from_config(cfg)
+    h = exact.mat_vec(exact.inverse(gram), seed.curvature_seed)
+    assert gasket.inner(h, h) == 0
+    degrees = []
+    for e in exact.identity(4):
+        degrees += orbit_count(gasket, 300, seed_class=e, ample=h).degrees
+    curvatures = pl.enumerate_packing(seed, bound=300).curvatures
+    assert sorted(degrees) == sorted(map(abs, curvatures))
 
 
 def test_zero_norm_reflection_refused():
