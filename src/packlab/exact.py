@@ -185,7 +185,7 @@ def inertia(a: Matrix) -> tuple[int, int, int]:
     n = len(a)
     if not is_symmetric(a):
         raise ValueError("inertia requires a symmetric matrix")
-    m = [list(row) for row in a]
+    m = [[rat(x) for x in row] for row in a]
     pos = neg = zero = 0
     active = list(range(n))
     while active:

@@ -463,7 +463,8 @@ def enumerate_packing(
         return centred[col]
 
     def below_bound(sphere_set):
-        kept = {c for c in sphere_set if 0 < dot(kseed, c) <= bound}
+        top = tight(bound)
+        kept = {c for c in sphere_set if 0 < sum(map(mul, kseed, c)) <= top}
         return kept if box is None else set(filter(in_box, kept))
 
     if mode == "depth_limited":

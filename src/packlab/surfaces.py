@@ -406,11 +406,13 @@ def orbit_count(
 
         actions.append(involution(g) if exact.mat_mul(a, a) == one else g)
 
+    top = tight(bound)
+
     def run(levels, seen) -> dict:
-        collected = {seed_t: d0} if d0 <= bound else {}
+        collected = {seed_t: d0} if d0 <= top else {}
         for level in levels:
             for w, deg, _ in level:
-                if deg <= bound:
+                if deg <= top:
                     collected[w] = deg
             if len(seen) > MAX_NODES:
                 raise PreconditionError(

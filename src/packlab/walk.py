@@ -15,6 +15,9 @@ are always expanded, and ``known`` vectors (a resumed checkpoint's
 spheres) start out seen, so the walk does not walk them again.  It builds
 each node once: the recheck continues the first walk instead of
 replaying it, and an ``involution`` is never applied back to a parent.
+Every generator must keep the height row affine, row . g(v) = p . v + c
+(wall reflections and integer matrices are linear), so a child is priced
+from its parent and a pruned child is never built.
 """
 
 from __future__ import annotations
@@ -86,15 +89,19 @@ def bounded_walk(
 ):
     """The orbit of the root vectors, pruned beyond ``bound * slack``, and its recheck.
 
-    Each generator is a callable acting on a vector from the left.  A node
-    is ``(vector, |row . vector|, index of the generator that made it)``,
-    -1 for a root, and a generator marked ``involution`` is not tried on a
-    node it made.  A child beyond the limit (an int when integral) is
-    pruned, and dedup is by vector.  ``run(levels, seen)`` consumes one
-    pass's levels and returns its outputs, a set or a dict; ``seen`` is
-    the live set of vectors: ``known``, the roots and every child kept so
-    far.  With ``check``, a walk that pruned something is rechecked at
-    twice the limit; one that pruned nothing already reached every node.
+    Each generator is a callable acting on a vector from the left, with
+    row . g(v) affine in v: it is called once on the zero vector and once
+    on each unit vector to find that map, and then only to build a child
+    whose height passes the prune test, so a pruned child is never built.
+    A node is ``(vector, |row . vector|, index of the generator that made
+    it)``, -1 for a root, and a generator marked ``involution`` is not
+    tried on a node it made.  A child beyond the limit (an int when
+    integral) is pruned, and dedup is by vector.  ``run(levels, seen)``
+    consumes one pass's levels and returns its outputs, a set or a dict;
+    ``seen`` is the live set of vectors: ``known``, the roots and every
+    child kept so far.  With ``check``, a walk that pruned something is
+    rechecked at twice the limit; one that pruned nothing already reached
+    every node.
     The recheck is a second ``run`` on the same ``seen``: each level takes
     the children the walk pruned there within twice the limit, and only
     nodes new to ``seen`` are expanded.  Without a depth cap it reaches
@@ -111,13 +118,21 @@ def bounded_walk(
     if rat(slack) < 1:
         raise PreconditionError("slack must be >= 1")
     limit, far = (tight(rat(bound) * rat(slack) * factor) for factor in (1, 2))
+    # a child's height, priced from its parent before the child is built:
+    # row . g(v) = p . v + c with c = row . g(0), p_j = row . g(e_j) - c
+    n = len(row)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    priced = []
+    for i, g in enumerate(generators):
+        c = tight(sum(map(mul, row, g((0,) * n))))
+        p = tuple(tight(sum(map(mul, row, g(e))) - c) for e in units)
+        priced.append((i, g, p, c))
     # the generators a node tries, by the index of the one that made it;
     # roots (-1) try every generator
-    every = list(enumerate(generators))
     tries = [
-        [(j, f) for j, f in every if j != i or not getattr(g, "involution", False)]
-        for i, g in every
-    ] + [every]
+        [t for t in priced if t[0] != i or not getattr(g, "involution", False)]
+        for i, g in enumerate(generators)
+    ] + [priced]
 
     def expansion(cut, hold=None):
         """Expand a level, pruning beyond ``cut``; with ``hold``, append the
@@ -127,11 +142,10 @@ def bounded_walk(
         def expand(level):
             children, near, pruned = [], [], 0
             for v, _, last in level:
-                for i, g in tries[last]:
-                    w = g(v)
-                    h = abs(sum(map(mul, row, w)))
+                for i, g, p, c in tries[last]:
+                    h = abs(sum(map(mul, p, v), c))
                     if h <= cut:
-                        children.append((w, h, i))
+                        children.append((g(v), h, i))
                     else:
                         pruned += 1
                         if hold is not None and h <= far:
@@ -146,8 +160,8 @@ def bounded_walk(
         # a held child is built again when the recheck reaches its level, so
         # until then it costs a pair, not a vector
         for v, i in near:
-            w = generators[i](v)
-            yield w, abs(sum(map(mul, row, w))), i
+            _, g, p, c = priced[i]
+            yield g(v), abs(sum(map(mul, p, v), c)), i
 
     stats, seen, held = {}, set(known), [] if check else None
     nodes = [(v, abs(sum(map(mul, row, v))), -1) for v in roots]

@@ -47,6 +47,12 @@ def test_inertia_known_cases():
     assert exact.inertia(degenerate) == (1, 0, 1)
 
 
+def test_inertia_of_plain_int_matrix_is_exact():
+    # determinant -1: float pivots would round the second pivot to 0
+    big = [[10**17 + 1, 10**17], [10**17, 10**17 - 1]]
+    assert exact.inertia(big) == exact.inertia(exact.mat(big)) == (1, 1, 0)
+
+
 def test_inertia_matches_determinant_signs():
     # random symmetric integer matrices: compare against sign of determinant
     # and rank computed independently

@@ -220,3 +220,73 @@ def test_generator_order_leaves_degrees_alike(order, bound):
     )
     count = surfaces.orbit_count
     assert count(permuted, bound).degrees == count(model, bound).degrees
+
+
+def _counted(generators, built):
+    """The generators, each appending every vector it builds to ``built``."""
+
+    def count(g):
+        def counted(v):
+            built.append(g(v))
+            return built[-1]
+
+        return involution(counted) if getattr(g, "involution", False) else counted
+
+    return [count(g) for g in generators]
+
+
+def _built_by_pass(built):
+    """A ``run`` that consumes a pass's levels and records how many vectors
+    had been built when the pass began."""
+    starts = []
+
+    def run(levels, seen):
+        starts.append(len(built))
+        for _ in levels:
+            pass
+        return set(seen)
+
+    return run, starts
+
+
+def test_pruned_children_are_never_built():
+    built = []
+    specs = [("shift", 3, False), ("double", 0, False), ("reflect", 5, True), ("turn", 0, True)]
+    generators = _counted([_generator(*spec) for spec in specs], built)
+    run, starts = _built_by_pass(built)
+    _, stats, _ = bounded_walk([(1, 0), (-2, 1)], generators, (1, 0), 20, 1, run, set, check=False)
+    assert stats["pruned"] > 0
+    # setup prices each generator once, on the zero vector and each unit vector
+    assert starts == [len(generators) * 3]
+    # then only the children that pass the prune test are built
+    assert len(built) - starts[0] == stats["expanded"] - stats["pruned"]
+    assert all(abs(n) <= 20 for n, _ in built[starts[0]:])
+
+
+def test_recheck_builds_only_held_and_kept_children():
+    built = []
+    steps = _counted([lambda v: (v[0] + 1,), lambda v: (2 * v[0],)], built)
+    run, starts = _built_by_pass(built)
+    # limits 6 then 12, as in test_recheck_takes_union_on_disagreement
+    _, stats, _ = bounded_walk([(1,)], steps, (1,), 3, 2, run, set)
+    assert starts[0] == len(steps) * 2
+    walked, rechecked = built[starts[0]:starts[1]], built[starts[1]:]
+    assert len(walked) == stats["expanded"] - stats["pruned"] == 8
+    assert all(n <= 6 for n, in walked)
+    # the recheck rebuilds the held children 8, 7, 12 and 10 and builds the
+    # five children it keeps, 9, 10, 8, 11 and 12, of the 12 it generates
+    assert stats["recheck_expanded"] == 12
+    assert sorted(n for n, in rechecked) == [7, 8, 8, 9, 10, 10, 11, 12, 12]
+
+
+def _work(stats):
+    return tuple(stats[k] for k in ("expanded", "pruned", "max_frontier", "recheck_expanded"))
+
+
+def test_work_counters_are_pinned():
+    # recorded when every generated child was built before its prune test;
+    # pricing children from their parents must walk exactly the same nodes
+    count = surfaces.orbit_count(surfaces.builtin_model("baragar_222"), 1000)
+    assert (len(count.degrees), _work(count.stats)) == (367, (6487, 3612, 353, 9528))
+    packing = enumerate_packing(catalog.packing_seed("apollonian2"), bound=3000)
+    assert (len(packing.spheres), _work(packing.stats)) == (691, (2077, 1378, 192, 3036))
