@@ -204,13 +204,10 @@ def cmd_surface(args) -> int:
             raise ConfigError("surface --count and --fit need a degree bound --T")
         seed = vec(_parse_rationals(args.C)) if args.C else None
         ample = vec(_parse_rationals(args.H)) if args.H else None
+        # orbit_count holds the default slack
+        kwargs = {"slack": rat(args.slack)} if args.slack else {}
         oc = surfaces.orbit_count(
-            model,
-            rat(args.T),
-            seed_class=seed,
-            ample=ample,
-            slack=rat(args.slack) if args.slack else 4,
-            threads=args.threads,
+            model, rat(args.T), seed_class=seed, ample=ample, threads=args.threads, **kwargs
         )
         print(
             f"N_T = {oc.count} classes with degree <= {oc.bound} "

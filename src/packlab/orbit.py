@@ -2,10 +2,11 @@
 
 Every generator is one wall reflection, written by ``exact.reflection`` as
 the rank-one update s = I + a q^T over the working basis.  It acts from
-the left on single sphere columns, u -> u + a (q . u) (bounded runs: a
-packing's spheres are the orbits of the seed spheres), and from the right
-on clusters, C -> C + (C a) q^T (the reduced-word walk of
-``iter_clusters`` and depth-limited runs).  The mode picks basis and walls:
+the left on single sphere columns as its exact matrix
+(``OrbitSystem.left_generators``; bounded runs: a packing's spheres are
+the orbits of the seed spheres), and from the right on clusters,
+C -> C + (C a) q^T (the reduced-word walk of ``iter_clusters`` and
+depth-limited runs).  The mode picks basis and walls:
 
 * ``weights`` mode: clusters are tuples of (normalized) dual weights of a
   Coxeter polytope and wall i is column i of G, so q = e_i: reflection i
@@ -31,8 +32,9 @@ it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
 
 Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
-expanded, and the walk's set of seen vectors is the sphere set.  A sphere
-is never reflected back in the wall that made it, and the doubled-slack
+expanded, and the walk's set of seen vectors is the sphere set.  The walk
+finds s s = I for every wall matrix itself, so a sphere is never
+reflected back in the wall that made it, and the doubled-slack
 recheck continues the walk instead of replaying it.  A weights-mode seed
 that some generator lowers is refused (``_refuse_non_root``); one that
 passes is complete at slack 1 without a box, the weights-mode default
@@ -62,7 +64,7 @@ from .errors import (
 )
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_row, vector_from_sphere
-from .walk import bounded_walk, involution, walk
+from .walk import bounded_walk, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
 
@@ -129,22 +131,12 @@ class OrbitSystem:
 
     @cached_property
     def left_generators(self) -> tuple:
-        """One callable per wall acting on a single column from the left: u -> u + a (q . u)."""
-        return tuple(_left_action(a, q) for a, q in self.reflections)
-
-
-def _left_action(a, q):
-    """u -> u + a (q . u), an involution; a unit q = e_j (every weights-mode
-    wall) is read as u_j."""
-    support = [j for j, x in enumerate(q) if x]
-    unit = len(support) == 1 and q[support[0]] == 1
-    dot_q = itemgetter(support[0]) if unit else lambda u: sum(map(mul, q, u))
-
-    def g(u):
-        t = dot_q(u)
-        return tuple([x + c * t for x, c in zip(u, a)])
-
-    return involution(g)
+        """Wall reflection i as its ``tight`` matrix I + a q^T, acting on a
+        single column from the left."""
+        return tight(
+            [[int(r == c) + x * y for c, y in enumerate(q)] for r, x in enumerate(a)]
+            for a, q in self.reflections
+        )
 
 
 @dataclass(frozen=True)
@@ -423,6 +415,8 @@ def enumerate_packing(
         raise PreconditionError(f"unknown enumeration mode {mode!r}")
     if mode == "depth_limited" and max_depth is None:
         raise PreconditionError("depth_limited enumeration needs max_depth")
+    if max_depth is not None and max_depth < 0:
+        raise PreconditionError(f"max_depth must be >= 0, got {max_depth}")
     if mode == "depth_limited" and (max_vectors is not None or _resume is not None):
         raise PreconditionError("checkpoints hold bounded sphere walks, not depth_limited runs")
     if mode == "bounded":

@@ -33,7 +33,7 @@ from .errors import ConfigError, DimensionError, PreconditionError
 from .exact import Matrix, Vector, mat, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
-from .walk import bounded_walk, involution
+from .walk import bounded_walk
 
 
 @dataclass(frozen=True)
@@ -324,12 +324,12 @@ class OrbitCount:
 
     def curve(self) -> CountCurve:
         """N(t) on the sqrt(2) grid from the least positive degree to the bound."""
-        if not self.degrees:
-            raise PreconditionError("empty orbit count has no curve")
-        lo = float(min(d for d in self.degrees if d > 0))
+        positive = [d for d in self.degrees if d > 0]
+        if not positive:
+            raise PreconditionError("no counted class has positive degree: no curve")
         return counting_function(
             self.degrees,
-            dyadic_grid(lo, float(self.bound), 2.0 ** 0.5),
+            dyadic_grid(float(min(positive)), float(self.bound), 2.0 ** 0.5),
             truncated=self.truncated,
         )
 
@@ -363,8 +363,9 @@ def orbit_count(
     branch is pruned once its degree exceeds slack * bound, and a recheck
     at doubled slack, continuing from the pruned classes, flags the count
     truncated if it finds a class within the bound that the walk missed.
-    A class made by an involutive generator (A A = I, tested once per
-    count) never tries that generator again.  A finite
+    The generators go to the walk as ``tight`` matrices acting on columns
+    (transposed for the row convention); a class made by one with A A = I,
+    which the walk tests once per count, never tries it again.  A finite
     orbit (frontier exhausted with nothing pruned) is reported so callers
     can refuse exponent estimates for elementary groups.  threads is
     accepted for compatibility: the walk runs in one thread, and the value
@@ -398,14 +399,6 @@ def orbit_count(
     hrow = tight(exact.mat_vec(model.space.gram, h))
     seed_t = tight(seed)
     d0 = abs(sum(map(mul, hrow, seed_t)))
-    one = exact.identity(model.rank)
-    actions = []
-    for a in generators:
-        def g(v, a=tight(a)):
-            return tuple([sum(map(mul, r, v)) for r in a])
-
-        actions.append(involution(g) if exact.mat_mul(a, a) == one else g)
-
     top = tight(bound)
 
     def run(levels, seen) -> dict:
@@ -421,7 +414,7 @@ def orbit_count(
         return collected
 
     collected, stats, truncated = bounded_walk(
-        [seed_t], actions, hrow, bound, slack, run, dict.keys, check=convergence_check
+        [seed_t], tight(generators), hrow, bound, slack, run, dict.keys, check=convergence_check
     )
     stats["threads"] = threads
     return OrbitCount(

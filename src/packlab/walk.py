@@ -8,16 +8,16 @@ walk then drops the children whose key it has already seen.
 
 ``bounded_walk`` is the one bounded vector-orbit walk: packings and
 surface counts both count the orbits of a few integer vectors under
-generators acting from the left, cut off by the height ``|row . v|``.  It
-holds the pruning limit, the doubled-slack recheck and every work
-counter; its callers only collect outputs and enforce budgets.  Roots
-are always expanded, and ``known`` vectors (a resumed checkpoint's
-spheres) start out seen, so the walk does not walk them again.  It builds
-each node once: the recheck continues the first walk instead of
-replaying it, and an ``involution`` is never applied back to a parent.
-Every generator must keep the height row affine, row . g(v) = p . v + c
-(wall reflections and integer matrices are linear), so a child is priced
-from its parent and a pruned child is never built.
+exact square matrices acting on columns from the left, cut off by the
+height ``|row . v|``.  It holds the pruning limit, the doubled-slack
+recheck and every work counter; its callers only collect outputs and
+enforce budgets.  Roots are always expanded, and ``known`` vectors (a
+resumed checkpoint's spheres) start out seen, so the walk does not walk
+them again.  It builds each node once: the recheck continues the first
+walk instead of replaying it, and a generator with A A = I, which the
+walk detects itself, is never applied back to the node it made.  Every
+generator is linear, so a child's height is priced from its parent, as
+(row A) . v, and a pruned child is never built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import PreconditionError
-from .exact import rat, tight
+from .exact import identity, mat_mul, rat, tight
 
 
 def walk(
@@ -76,32 +76,36 @@ def walk(
         yield level
 
 
-def involution(g: Callable) -> Callable:
-    """Mark the generator g as its own inverse, so ``bounded_walk`` never
-    applies it to a node it made: that would only give back the parent."""
-    g.involution = True
-    return g
+def image(moves, v) -> tuple:
+    """The child A v, from the ``moves`` of A: the pairs (j, column j of
+    A - I) where A differs from I.  ``bounded_walk`` builds every vector here."""
+    w = v
+    for j, d in moves:
+        t = v[j]
+        w = [x + c * t for x, c in zip(w, d)]
+    return tuple(w)
 
 
 def bounded_walk(
-    roots: Sequence[tuple], generators: Sequence[Callable], row: Sequence, bound, slack,
+    roots: Sequence[tuple], generators: Sequence[Sequence[tuple]], row: Sequence, bound, slack,
     run: Callable, below: Callable, max_depth=None, check=True, depth=0, known=(),
 ):
     """The orbit of the root vectors, pruned beyond ``bound * slack``, and its recheck.
 
-    Each generator is a callable acting on a vector from the left, with
-    row . g(v) affine in v: it is called once on the zero vector and once
-    on each unit vector to find that map, and then only to build a child
-    whose height passes the prune test, so a pruned child is never built.
-    A node is ``(vector, |row . vector|, index of the generator that made
-    it)``, -1 for a root, and a generator marked ``involution`` is not
-    tried on a node it made.  A child beyond the limit (an int when
-    integral) is pruned, and dedup is by vector.  ``run(levels, seen)``
-    consumes one pass's levels and returns its outputs, a set or a dict;
-    ``seen`` is the live set of vectors: ``known``, the roots and every
-    child kept so far.  With ``check``, a walk that pruned something is
-    rechecked at twice the limit; one that pruned nothing already reached
-    every node.
+    Each generator is a square exact matrix A acting on a column vector
+    from the left, its entries ints or Fractions as ``exact.tight`` gives
+    them.  Once per call the walk reads each one's height row row . A,
+    which prices a child |row . A v| from its parent, so only a child that
+    passes the prune test is built (by ``image``), and tests A A = I
+    exactly: such a generator is not tried on a node it made, which would
+    only give back the parent.  A node is ``(vector, |row . vector|, index
+    of the generator that made it)``, -1 for a root.  A child beyond the
+    limit (an int when integral) is pruned, and dedup is by vector.
+    ``run(levels, seen)`` consumes one pass's levels and returns its
+    outputs, a set or a dict; ``seen`` is the live set of vectors:
+    ``known``, the roots and every child kept so far.  With ``check``, a
+    walk that pruned something is rechecked at twice the limit; one that
+    pruned nothing already reached every node.
     The recheck is a second ``run`` on the same ``seen``: each level takes
     the children the walk pruned there within twice the limit, and only
     nodes new to ``seen`` are expanded.  Without a depth cap it reaches
@@ -118,21 +122,18 @@ def bounded_walk(
     if rat(slack) < 1:
         raise PreconditionError("slack must be >= 1")
     limit, far = (tight(rat(bound) * rat(slack) * factor) for factor in (1, 2))
-    # a child's height, priced from its parent before the child is built:
-    # row . g(v) = p . v + c with c = row . g(0), p_j = row . g(e_j) - c
-    n = len(row)
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    priced = []
-    for i, g in enumerate(generators):
-        c = tight(sum(map(mul, row, g((0,) * n))))
-        p = tuple(tight(sum(map(mul, row, g(e))) - c) for e in units)
-        priced.append((i, g, p, c))
+    # per generator: the columns where A differs from I, which build a
+    # child; the height row p = row . A, which prices a child from its
+    # parent v as |p . v|; and whether A A = I
+    priced, one = [], identity(len(row))
+    for i, a in enumerate(generators):
+        cols = [tuple(x - int(r == j) for r, x in enumerate(col)) for j, col in enumerate(zip(*a))]
+        p = tight(sum(map(mul, row, col)) for col in zip(*a))
+        priced.append((i, [(j, d) for j, d in enumerate(cols) if any(d)], p, mat_mul(a, a) == one))
     # the generators a node tries, by the index of the one that made it;
     # roots (-1) try every generator
-    tries = [
-        [t for t in priced if t[0] != i or not getattr(g, "involution", False)]
-        for i, g in enumerate(generators)
-    ] + [priced]
+    tries = [[t for t in priced if t[0] != i or not t[3]] for i in range(len(priced))]
+    tries.append(priced)
 
     def expansion(cut, hold=None):
         """Expand a level, pruning beyond ``cut``; with ``hold``, append the
@@ -142,10 +143,10 @@ def bounded_walk(
         def expand(level):
             children, near, pruned = [], [], 0
             for v, _, last in level:
-                for i, g, p, c in tries[last]:
-                    h = abs(sum(map(mul, p, v), c))
+                for i, moves, p, _ in tries[last]:
+                    h = abs(sum(map(mul, p, v)))
                     if h <= cut:
-                        children.append((g(v), h, i))
+                        children.append((image(moves, v), h, i))
                     else:
                         pruned += 1
                         if hold is not None and h <= far:
@@ -160,8 +161,8 @@ def bounded_walk(
         # a held child is built again when the recheck reaches its level, so
         # until then it costs a pair, not a vector
         for v, i in near:
-            _, g, p, c = priced[i]
-            yield g(v), abs(sum(map(mul, p, v), c)), i
+            _, moves, p, _ = priced[i]
+            yield image(moves, v), abs(sum(map(mul, p, v))), i
 
     stats, seen, held = {}, set(known), [] if check else None
     nodes = [(v, abs(sum(map(mul, row, v))), -1) for v in roots]

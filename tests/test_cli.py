@@ -92,6 +92,13 @@ def test_pack_max_depth_zero(tmp_path, capsys):
     assert sorted(int(r.split(",")[0]) for r in rows) == [-10, 18, 23, 27]
 
 
+def test_pack_max_depth_negative(tmp_path, capsys):
+    out = tmp_path / "spheres.csv"
+    assert run(["pack", "--catalog", "apollonian2", "--max-depth", "-1", "--out", str(out)]) == 3
+    assert "max_depth" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_roundtrip(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     body = ["T,N"] + [f"{10 * 2 ** j},{int((10 * 2 ** j) ** 1.5)}" for j in range(14)]
@@ -233,6 +240,17 @@ def test_surface_count_and_fit(tmp_path, capsys):
     est = estimate_surface_exponent(builtin_model("baragar_p2p2"), 10**6)
     assert json.loads(result)["points"] == est.points
     assert json.loads(result)["delta_hat"] == pytest.approx(est.delta_hat, rel=1e-9)
+
+
+def test_surface_curve_needs_a_positive_degree(tmp_path, capsys):
+    # the zero class is its whole orbit, and its degree is 0
+    out = tmp_path / "counts.csv"
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--C", "0,0,0", "--T", "10"]
+    assert run(argv + ["--out", str(out)]) == 3
+    assert "positive degree" in capsys.readouterr().err
+    # --slack reaches the count, which refuses a slack below 1
+    assert run(argv + ["--slack", "1/2"]) == 3
+    assert "slack" in capsys.readouterr().err
 
 
 def test_surface_fit_matches_library(capsys):

@@ -508,8 +508,8 @@ def _hand_reflection(g, i, mode):
     coordinates, I - 2 e_i G[i, :] on mirror coordinates."""
     n = len(g)
     if mode == "weights":
-        return [[int(r == c) - 2 * g[r][i] * (c == i) for c in range(n)] for r in range(n)]
-    return [[int(r == c) - 2 * (r == i) * g[i][c] for c in range(n)] for r in range(n)]
+        return tuple(tuple(int(r == c) - 2 * g[r][i] * (c == i) for c in range(n)) for r in range(n))
+    return tuple(tuple(int(r == c) - 2 * (r == i) * g[i][c] for c in range(n)) for r in range(n))
 
 
 @pytest.mark.parametrize(
@@ -525,14 +525,13 @@ def _hand_reflection(g, i, mode):
 def test_generators_match_reflection_matrices(name, mode):
     p = pl.polytope(name)
     system, n = OrbitSystem(p, mode), p.rank
-    units = [tuple(int(r == c) for r in range(n)) for c in range(n)]
     generic = [tuple((3 * r + 5 * c) % 7 - 3 for r in range(n)) for c in range(n)]
     cluster = Cluster(system=system, cols=tuple(generic))
     for i in range(n):
         rmat = _hand_reflection(p.gram, i, mode)
-        for u in units + generic:
-            want = tuple(sum(rmat[r][k] * u[k] for k in range(n)) for r in range(n))
-            assert system.left_generators[i](u) == want
+        # the sphere walk's generator is the matrix itself, with int entries
+        assert system.left_generators[i] == rmat
+        assert all(type(x) is int for row in system.left_generators[i] for x in row)
         # the cluster step is the right action C -> C R_i: column j is C . R_i[:, j]
         want = tuple(
             tuple(sum(generic[k][r] * rmat[k][j] for k in range(n)) for r in range(n))

@@ -1,14 +1,15 @@
 import dataclasses
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from packlab import catalog, surfaces
+from packlab import catalog, surfaces, walk as walk_module
 from packlab.errors import PreconditionError
 from packlab.orbit import enumerate_packing
-from packlab.walk import bounded_walk, involution, walk
+from packlab.walk import bounded_walk, walk
 
 
 def _expand(level):
@@ -47,6 +48,9 @@ class Height(int):
     def __rmul__(self, other):
         return Height(other * int(self))
 
+    def __add__(self, other):
+        return Height(int(self) + other)
+
     def __radd__(self, other):
         return Height(other + int(self))
 
@@ -58,8 +62,10 @@ class Height(int):
         return int(self) <= limit
 
 
-# n -> n + 1 and n -> 2n on 1-vectors; the height is the entry itself
-STEPS = (lambda v: (Height(v[0] + 1),), lambda v: (Height(2 * v[0]),))
+# n -> n + 1 and n -> 2n on vectors (n, 1), the 1 a homogeneous
+# coordinate; the height is n itself
+STEPS = (((1, 1), (0, 1)), ((2, 0), (0, 1)))
+ROOT = (Height(1), 1)
 
 
 def _below(outputs):
@@ -69,13 +75,13 @@ def _below(outputs):
 def _collect(levels, seen):
     for _ in levels:
         pass
-    return {v for v, in seen}
+    return {n for n, _ in seen}
 
 
 def test_recheck_takes_union_on_disagreement():
     # limits 6 then 12: the wider walk finds nothing new below 5
     Height.limits.clear()
-    out, stats, truncated = bounded_walk([(1,)], STEPS, (1,), "3", 2, _collect, _below)
+    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), "3", 2, _collect, _below)
     assert (out, truncated) == ({1, 2, 3, 4, 5, 6}, False)
     assert set(Height.limits) == {6, 12} and all(type(x) is int for x in Height.limits)
     assert stats["expanded"] == 12
@@ -85,10 +91,10 @@ def test_recheck_takes_union_on_disagreement():
     assert stats["recheck_expanded"] == 12
     assert stats["slack"] == "2"
     # limit 3 misses 4, which the walk at limit 6 finds: the union, truncated
-    out, stats, truncated = bounded_walk([(1,)], STEPS, (1,), 3, 1, _collect, _below)
+    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), 3, 1, _collect, _below)
     assert (out, truncated) == ({1, 2, 3, 4, 5, 6}, True)
     with pytest.raises(PreconditionError, match="slack"):
-        bounded_walk([(1,)], STEPS, (1,), 3, "1/2", _collect, _below)
+        bounded_walk([ROOT], STEPS, (1, 0), 3, "1/2", _collect, _below)
 
 
 def test_bounded_walk_skips_recheck_when_nothing_pruned():
@@ -99,7 +105,7 @@ def test_bounded_walk_skips_recheck_when_nothing_pruned():
         return passes[-1]
 
     # a finite orbit: the one generator fixes the root, so nothing is pruned
-    out, stats, truncated = bounded_walk([(0,)], [lambda v: v], (1,), 10, 1, run, _below)
+    out, stats, truncated = bounded_walk([(0, 1)], [((1, 0), (0, 1))], (1, 0), 10, 1, run, _below)
     assert passes == [{0}] and "recheck_expanded" not in stats
     assert (out, truncated) == ({0}, False)
 
@@ -107,16 +113,17 @@ def test_bounded_walk_skips_recheck_when_nothing_pruned():
     # cap sooner, and known vectors start out seen: 3 is not walked again,
     # so its children 6 and 7 are never reached
     out, stats, truncated = bounded_walk(
-        [(1,)], STEPS, (1,), 100, 1, _collect, _below, max_depth=4, depth=1, known=[(3,)]
+        [(1, 1)], STEPS, (1, 0), 100, 1, _collect, _below, max_depth=4, depth=1, known=[(3, 1)]
     )
     assert (out, truncated) == ({1, 2, 3, 4, 5, 8}, True)
     assert stats["depth_cut"] == 2 and stats["expanded"] == 6
 
 
 def test_involution_is_not_applied_to_a_node_it_made():
-    flip = involution(lambda v: (-v[0],))
+    # the walk finds that flip * flip = I itself; shift * shift is not I
+    flip, shift = ((-1, 0), (0, 1)), ((1, 1), (0, 1))
     out, stats, _ = bounded_walk(
-        [(1,)], [flip, lambda v: (v[0] + 1,)], (1,), 3, 1, _collect, _below, check=False
+        [(1, 1)], [flip, shift], (1, 0), 3, 1, _collect, _below, check=False
     )
     assert out == {-3, -2, -1, 0, 1, 2, 3}
     # -1, -2 and -3 are made by the flip and never flipped back to their
@@ -124,26 +131,28 @@ def test_involution_is_not_applied_to_a_node_it_made():
     assert stats["expanded"] == 11 and stats["pruned"] == 1
 
 
-def _generator(kind, c, marked):
-    """A fresh generator on (n, t) vectors, t in {0, 1, 2}; the height is |n|.
+def _generator(kind, c):
+    """A generator matrix on (n, t, 1) vectors, t = +-1 and the 1 a
+    homogeneous coordinate; the height is |n|.
 
-    shift and double are not involutions; reflect and turn are, and are
-    marked as such when ``marked``.  Every orbit within a height bound is
-    finite, so every walk ends.
+    shift n -> n + c (the identity when c = 0) and double n -> 2n are not
+    involutions; reflect n -> c - n and turn t -> -t are.  Every orbit within a height
+    bound is finite, so every walk ends.
     """
-    if kind == "shift":
-        return lambda v: (v[0] + c, (v[1] + 1) % 3)
-    if kind == "double":
-        return lambda v: (2 * v[0], v[1])
-    g = (lambda v: (c - v[0], v[1])) if kind == "reflect" else (lambda v: (v[0], -v[1] % 3))
-    return involution(g) if marked else g
+    return {
+        "shift": ((1, 0, c), (0, 1, 0), (0, 0, 1)),
+        "double": ((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+        "reflect": ((-1, 0, c), (0, 1, 0), (0, 0, 1)),
+        "turn": ((1, 0, 0), (0, -1, 0), (0, 0, 1)),
+    }[kind]
 
 
 def _fresh_walk(roots, generators, limit, max_depth):
     """Oracle: one walk from the roots at ``limit`` that tries every generator
-    on every node.  Returns each reached vector's level, and the counters."""
+    on every node, each a row-by-row matrix product.  Returns each reached
+    vector's level, and the counters."""
     def expand(level):
-        children = [(g(v),) for v, in level for g in generators]
+        children = [(tuple(sum(map(mul, r, v)) for r in a),) for v, in level for a in generators]
         kept = [c for c in children if abs(c[0][0]) <= limit]
         return kept, len(children) - len(kept)
 
@@ -157,10 +166,12 @@ def _fresh_walk(roots, generators, limit, max_depth):
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["shift", "double", "reflect", "turn"]), st.integers(-4, 8), st.booleans()),
+        st.tuples(st.sampled_from(["shift", "double", "reflect", "turn"]), st.integers(-4, 8)),
         min_size=2, max_size=4,
     ),
-    st.lists(st.tuples(st.integers(-6, 12), st.integers(0, 2)), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(-6, 12), st.sampled_from([1, -1]), st.just(1)), min_size=1, max_size=3
+    ),
     st.integers(0, 20),
     st.sampled_from([1, Fraction(3, 2), 2, 3]),
     st.none() | st.integers(0, 8),
@@ -177,7 +188,9 @@ def test_bounded_walk_matches_two_fresh_walks(specs, roots, bound, slack, max_de
     def below(out):
         return {v for v in out if abs(v[0]) <= bound}
 
-    out, _, truncated = bounded_walk(roots, generators, (1, 0), bound, slack, run, below, max_depth)
+    out, _, truncated = bounded_walk(
+        roots, generators, (1, 0, 0), bound, slack, run, below, max_depth
+    )
     # the oracle: a fresh walk at the limit and, if it pruned anything, one
     # at twice the limit, whose outputs join the first's on disagreement
     first, stats = _fresh_walk(roots, generators, bound * slack, max_depth)
@@ -222,17 +235,16 @@ def test_generator_order_leaves_degrees_alike(order, bound):
     assert count(permuted, bound).degrees == count(model, bound).degrees
 
 
-def _counted(generators, built):
-    """The generators, each appending every vector it builds to ``built``."""
+def _counted(monkeypatch):
+    """Every vector the walk builds, appended as ``walk.image`` builds it."""
+    built, image = [], walk_module.image
 
-    def count(g):
-        def counted(v):
-            built.append(g(v))
-            return built[-1]
+    def counted(moves, v):
+        built.append(image(moves, v))
+        return built[-1]
 
-        return involution(counted) if getattr(g, "involution", False) else counted
-
-    return [count(g) for g in generators]
+    monkeypatch.setattr(walk_module, "image", counted)
+    return built
 
 
 def _built_by_pass(built):
@@ -249,34 +261,34 @@ def _built_by_pass(built):
     return run, starts
 
 
-def test_pruned_children_are_never_built():
-    built = []
-    specs = [("shift", 3, False), ("double", 0, False), ("reflect", 5, True), ("turn", 0, True)]
-    generators = _counted([_generator(*spec) for spec in specs], built)
+def test_pruned_children_are_never_built(monkeypatch):
+    built = _counted(monkeypatch)
+    specs = [("shift", 3), ("double", 0), ("reflect", 5), ("turn", 0)]
+    generators = [_generator(*spec) for spec in specs]
     run, starts = _built_by_pass(built)
-    _, stats, _ = bounded_walk([(1, 0), (-2, 1)], generators, (1, 0), 20, 1, run, set, check=False)
+    roots = [(1, 1, 1), (-2, -1, 1)]
+    _, stats, _ = bounded_walk(roots, generators, (1, 0, 0), 20, 1, run, set, check=False)
     assert stats["pruned"] > 0
-    # setup prices each generator once, on the zero vector and each unit vector
-    assert starts == [len(generators) * 3]
+    # setup builds no vector: each child is priced from its parent
+    assert starts == [0]
     # then only the children that pass the prune test are built
-    assert len(built) - starts[0] == stats["expanded"] - stats["pruned"]
-    assert all(abs(n) <= 20 for n, _ in built[starts[0]:])
+    assert len(built) == stats["expanded"] - stats["pruned"]
+    assert all(abs(n) <= 20 for n, _, _ in built)
 
 
-def test_recheck_builds_only_held_and_kept_children():
-    built = []
-    steps = _counted([lambda v: (v[0] + 1,), lambda v: (2 * v[0],)], built)
+def test_recheck_builds_only_held_and_kept_children(monkeypatch):
+    built = _counted(monkeypatch)
     run, starts = _built_by_pass(built)
     # limits 6 then 12, as in test_recheck_takes_union_on_disagreement
-    _, stats, _ = bounded_walk([(1,)], steps, (1,), 3, 2, run, set)
-    assert starts[0] == len(steps) * 2
-    walked, rechecked = built[starts[0]:starts[1]], built[starts[1]:]
+    _, stats, _ = bounded_walk([(1, 1)], STEPS, (1, 0), 3, 2, run, set)
+    assert starts[0] == 0
+    walked, rechecked = built[:starts[1]], built[starts[1]:]
     assert len(walked) == stats["expanded"] - stats["pruned"] == 8
-    assert all(n <= 6 for n, in walked)
+    assert all(n <= 6 for n, _ in walked)
     # the recheck rebuilds the held children 8, 7, 12 and 10 and builds the
     # five children it keeps, 9, 10, 8, 11 and 12, of the 12 it generates
     assert stats["recheck_expanded"] == 12
-    assert sorted(n for n, in rechecked) == [7, 8, 8, 9, 10, 10, 11, 12, 12]
+    assert sorted(n for n, _ in rechecked) == [7, 8, 8, 9, 10, 10, 11, 12, 12]
 
 
 def _work(stats):
