@@ -10,7 +10,8 @@ precondition failure, 4 truncation refusal.
 
 All rationals on the command line and in JSON configs are exact strings
 ("-13/2"); CSV output keeps curvatures exact and renders centers/radii as
-decimal floats only.
+decimal floats only, each the correctly rounded int/int quotient of its
+exact value.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import catalog, exponent, lattices, orbit, surfaces
 from .coxeter import build_polytope, dual_polytope
 from .errors import ConfigError, PacklabError, PreconditionError, TruncatedCurveError
 from .exact import mat, rat, vec
-from .inversive import EuclideanSphere, render_svg
+from .inversive import EuclideanSphere, center_radius, render_svg
 
 
 def _parse_rationals(text: str):
@@ -74,8 +75,9 @@ def _spheres_csv(result: orbit.PackingOrbit) -> str:
                 normal = " ".join(str(x) for x in s.normal)
                 lines.append(f"0,line normal ({normal}) offset {s.offset},inf")
             else:
-                c = " ".join(f"{float(x):.12g}" for x in s.center)
-                lines.append(f"{s.curvature},{c},{float(s.radius):.12g}")
+                center, r = center_radius(s)
+                c = " ".join(f"{x:.12g}" for x in center)
+                lines.append(f"{s.curvature},{c},{r:.12g}")
     else:
         from .realize import approximate_spheres
 

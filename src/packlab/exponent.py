@@ -103,8 +103,10 @@ def dyadic_grid(lo, hi, factor: float = 2.0) -> list[float]:
 def counting_function(
     curvatures: Sequence, grid: Sequence[float], truncated: bool = False
 ) -> CountCurve:
-    """N(t) = #{k in the multiset : k <= t} sampled on the given grid."""
-    ks = sorted(float(rat(k) if not isinstance(k, float) else k) for k in curvatures)
+    """N(t) = #{k in the multiset : k <= t} sampled on the given grid.
+
+    Curvatures are numbers (ints, Fractions, floats) or exact strings."""
+    ks = sorted(float(rat(k)) if isinstance(k, str) else float(k) for k in curvatures)
     ts = tuple(float(t) for t in grid)
     return CountCurve(ts=ts, ns=tuple(bisect.bisect_right(ks, t) for t in ts), truncated=truncated)
 

@@ -176,6 +176,14 @@ def vector_from_sphere(s: EuclideanSphere) -> SphereVector:
     return SphereVector((Fraction(0),) + tuple(x / root for x in s.normal) + (s.offset / root,))
 
 
+def center_radius(s: EuclideanSphere) -> tuple[list[float], float]:
+    """Float center and radius of a sphere, each the correctly rounded
+    int/int quotient of its exact value: c.numerator / c.denominator and
+    k.denominator / |k.numerator|, the same floats as float(Fraction)."""
+    k = s.curvature
+    return [c.numerator / c.denominator for c in s.center], k.denominator / abs(k.numerator)
+
+
 def classify_pair(v: SphereVector, w: SphereVector) -> str:
     """Mutual position of two oriented spheres from their inner product.
 
@@ -204,18 +212,17 @@ def classify_pair(v: SphereVector, w: SphereVector) -> str:
 
 def _auto_viewport(spheres: list[EuclideanSphere]) -> tuple[float, float, float, float]:
     bounded = [s for s in spheres if s.kind == "sphere"]
-    negative = [s for s in bounded if s.curvature < 0]
+    negative = [s for s in bounded if s.curvature.numerator < 0]
     if negative:
-        outer = min(negative, key=lambda s: s.curvature)
-        r = float(outer.radius)
-        cx, cy = (float(x) for x in outer.center)
+        (cx, cy), r = center_radius(min(negative, key=lambda s: s.curvature))
         pad = 0.02 * r
         return cx - r - pad, cy - r - pad, 2 * (r + pad), 2 * (r + pad)
     if bounded:
-        xs_lo = min(float(s.center[0]) - float(s.radius) for s in bounded)
-        xs_hi = max(float(s.center[0]) + float(s.radius) for s in bounded)
-        ys_lo = min(float(s.center[1]) - float(s.radius) for s in bounded)
-        ys_hi = max(float(s.center[1]) + float(s.radius) for s in bounded)
+        boxes = [center_radius(s) for s in bounded]
+        xs_lo = min(c[0] - r for c, r in boxes)
+        xs_hi = max(c[0] + r for c, r in boxes)
+        ys_lo = min(c[1] - r for c, r in boxes)
+        ys_hi = max(c[1] + r for c, r in boxes)
         pad = 0.02 * max(xs_hi - xs_lo, ys_hi - ys_lo, 1e-9)
         return xs_lo - pad, ys_lo - pad, (xs_hi - xs_lo) + 2 * pad, (ys_hi - ys_lo) + 2 * pad
     return -1.0, -1.0, 2.0, 2.0
@@ -231,7 +238,9 @@ def render_svg(
     viewport is (min_x, min_y, width, height) in model coordinates; by
     default it is the bounding box of the most negative-curvature circle if
     one is present, else of all centers +- radii.  Curvature labels are
-    emitted only for integer curvatures.
+    emitted only for integer curvatures, after every circle and line.
+    Centers and radii are printed as correctly rounded int/int quotients of
+    their exact values (``center_radius``).
     """
     spheres = list(spheres)
     for s in spheres:
@@ -251,10 +260,17 @@ def render_svg(
         f'<g fill="none" stroke="black" stroke-width="{stroke:.6g}">',
     ]
     diag = math.hypot(vw, vh)
+    texts = []
     for s in spheres:
         if s.kind == "sphere":
-            cx, cy, r = float(s.center[0]), float(s.center[1]), float(s.radius)
+            (cx, cy), r = center_radius(s)
             parts.append(f'<circle cx="{cx:.9g}" cy="{-cy:.9g}" r="{r:.9g}"/>')
+            if labels and s.curvature.denominator == 1:
+                texts.append(
+                    f'<text x="{cx:.9g}" y="{-cy:.9g}" font-size="{0.8 * r:.9g}" '
+                    f'text-anchor="middle" dominant-baseline="middle" stroke="none" '
+                    f'fill="black">{s.curvature.numerator}</text>'
+                )
         else:
             a1, a2 = (float(x) for x in s.normal)
             d = float(s.offset)
@@ -264,16 +280,7 @@ def render_svg(
             x1, y1 = px - 2 * diag * ux, py - 2 * diag * uy
             x2, y2 = px + 2 * diag * ux, py + 2 * diag * uy
             parts.append(f'<line x1="{x1:.9g}" y1="{-y1:.9g}" x2="{x2:.9g}" y2="{-y2:.9g}"/>')
-    if labels:
-        for s in spheres:
-            if s.kind != "sphere" or s.curvature.denominator != 1:
-                continue
-            cx, cy, r = float(s.center[0]), float(s.center[1]), float(s.radius)
-            parts.append(
-                f'<text x="{cx:.9g}" y="{-cy:.9g}" font-size="{0.8 * r:.9g}" '
-                f'text-anchor="middle" dominant-baseline="middle" stroke="none" '
-                f'fill="black">{s.curvature.numerator}</text>'
-            )
+    parts += texts
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts)

@@ -349,14 +349,19 @@ class PackingOrbit:
     stats: dict = field(compare=False, default_factory=dict)
 
     @property
-    def curvatures(self) -> tuple[Fraction, ...]:
-        return tuple(self.seed.curvature_of(c) for c in self.spheres)
+    def curvatures(self) -> tuple:
+        """Exact curvature of each stored sphere: an int where integral."""
+        kseed = self.seed.curvature_seed
+        if kseed is None:
+            raise PreconditionError("cluster has no curvature data attached")
+        return tuple([sum(map(mul, kseed, c)) for c in self.spheres])
 
-    def positive_curvatures(self) -> list[Fraction]:
+    def positive_curvatures(self) -> list:
         """Curvature multiset of the bounded spheres (the counting data)."""
         out = [k for k in self.curvatures if k > 0]
         if self.curvature_bound is not None:
-            out = [k for k in out if k <= self.curvature_bound]
+            top = tight(self.curvature_bound)
+            out = [k for k in out if k <= top]
         return sorted(out)
 
     def count(self, bound=None) -> int:
@@ -364,13 +369,24 @@ class PackingOrbit:
         bound = self.curvature_bound if bound is None else rat(bound)
         if bound is None:
             return sum(1 for k in self.curvatures if k > 0)
-        return sum(1 for k in self.curvatures if 0 < k <= bound)
+        top = tight(bound)
+        return sum(1 for k in self.curvatures if 0 < k <= top)
 
     def sphere_vectors(self) -> list[SphereVector]:
         return [self.seed.sphere_vector(c) for c in self.spheres]
 
+    @cached_property
+    def _euclidean(self) -> tuple[EuclideanSphere, ...]:
+        return tuple(map(self.seed.euclidean_sphere, self.spheres))
+
     def euclidean_spheres(self) -> list[EuclideanSphere]:
-        return list(map(self.seed.euclidean_sphere, self.spheres))
+        """The exact sphere or hyperplane of each stored column, in order.
+
+        They are built once, on the first call, each through the integer
+        norm check of ``Cluster.sphere_row``, and kept while the orbit
+        lives; every call returns a new list over them.
+        """
+        return list(self._euclidean)
 
 
 CERTIFY_PAIRS = 4000  # most pairs certify_integral samples

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import exact
 from .errors import ConfigError, DimensionError, PreconditionError
-from .exact import Matrix, Vector, mat, rat, tight, vec
+from .exact import Matrix, Vector, identity, mat, mat_mul, rat, tight, vec
 from .exponent import CountCurve, ExponentEstimate, counting_function, dyadic_grid, fit_exponent
 from .lorentz import QuadraticSpace
 from .walk import bounded_walk
@@ -372,7 +372,11 @@ def orbit_count(
     changes neither the work done nor the output.  Overrides of the seed
     class and of H must have the model's rank; an H outside the light cone
     (sign * (H, H) < 0, with the model's sign) is refused, and so is H = 0,
-    whose degrees are all 0 and prune nothing; a nonzero isotropic H is not.
+    whose degrees are all 0 and prune nothing.  A nonzero isotropic H is
+    counted unless a parabolic element fixes it: when a generator or a
+    product of two keeps every degree and is a nontrivial unipotent (see
+    ``_degree_parabolics``), a counted class that it moves has infinitely
+    many images of the same degree, and the infinite count is refused.
     """
     report = model.report
     if report.convention == "none":
@@ -396,10 +400,14 @@ def orbit_count(
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]
+    generators = tight(generators)
     hrow = tight(exact.mat_vec(model.space.gram, h))
     seed_t = tight(seed)
     d0 = abs(sum(map(mul, hrow, seed_t)))
     top = tight(bound)
+    parabolic = _degree_parabolics(generators, hrow, model.generator_labels)
+    if parabolic and d0 <= top:
+        _refuse_moved(parabolic, seed_t, d0)
 
     def run(levels, seen) -> dict:
         collected = {seed_t: d0} if d0 <= top else {}
@@ -407,6 +415,8 @@ def orbit_count(
             for w, deg, _ in level:
                 if deg <= top:
                     collected[w] = deg
+                    if parabolic:
+                        _refuse_moved(parabolic, w, deg)
             if len(seen) > MAX_NODES:
                 raise PreconditionError(
                     f"orbit search exceeded {MAX_NODES} nodes; lower the bound"
@@ -414,7 +424,7 @@ def orbit_count(
         return collected
 
     collected, stats, truncated = bounded_walk(
-        [seed_t], tight(generators), hrow, bound, slack, run, dict.keys, check=convergence_check
+        [seed_t], generators, hrow, bound, slack, run, dict.keys, check=convergence_check
     )
     stats["threads"] = threads
     return OrbitCount(
@@ -426,6 +436,44 @@ def orbit_count(
         finite_orbit=stats["pruned"] == 0,
         stats=stats,
     )
+
+
+def _degree_parabolics(generators, hrow, labels) -> list:
+    """(name, U) for each generator and each product of two generators U
+    with hrow . U = hrow, U != I and (U - I)^rank = 0.  Such a U keeps every
+    degree and has infinite order: U^n v = v + n (U - I) v + ... are
+    distinct for every class v that U moves.  The test is exact and
+    sufficient, not necessary, for an infinite count."""
+    n = len(hrow)
+    one = identity(n)
+    names = [labels[i] if i < len(labels) else f"g{i}" for i in range(len(generators))]
+    candidates = list(zip(names, generators)) + [
+        (f"{names[i]}*{names[j]}", mat_mul(a, b))
+        for i, a in enumerate(generators)
+        for j, b in enumerate(generators)
+    ]
+    found = []
+    for name, u in candidates:
+        if u == one or tight(sum(map(mul, hrow, col)) for col in zip(*u)) != hrow:
+            continue
+        nil = tuple(tuple(x - int(i == j) for j, x in enumerate(r)) for i, r in enumerate(u))
+        power = nil
+        for _ in range(n - 1):
+            power = mat_mul(power, nil)
+        if not any(map(any, power)):
+            found.append((name, u))
+    return found
+
+
+def _refuse_moved(parabolic, w, deg) -> None:
+    """Refuse the count when some parabolic U of ``_degree_parabolics``
+    moves the counted class w: its images U^n w all have degree deg."""
+    for name, u in parabolic:
+        if any(sum(map(mul, r, w)) != x for r, x in zip(u, w)):
+            raise PreconditionError(
+                f"class {w} of degree {deg} is moved by {name}, a unipotent element of "
+                "infinite order that fixes H: infinitely many classes share this degree"
+            )
 
 
 def estimate_surface_exponent(

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import re
 
 import pytest
 
-from packlab import cli, surfaces
+import packlab as pl
+from packlab import catalog, cli, surfaces
+from packlab.inversive import render_svg
 from packlab.surfaces import builtin_model, estimate_surface_exponent
 
 
@@ -60,6 +63,39 @@ def test_pack_csv_has_no_signed_zeros(tmp_path):
     rows = out.read_text().splitlines()
     assert "-10,0 0,0.1" in rows
     assert "-0" not in {field for row in rows for field in re.split("[ ,]", row)}
+
+
+# SHA-256 of the spheres CSV, the labelled SVG and `packlab render --labels`
+# on that CSV: a digit moved by either float writer fails here
+OUTPUT_DIGESTS = {
+    "apollonian2": (
+        "9ab02b817c222e48e27fa62551539bb85a924f6e771aed1ec605c7fa56ab3a2d",
+        "1ceb754d08f21b5fe97dac9f111f0c3100f0f8d5d23cb935fcf37796744b4d9c",
+        "1ceb754d08f21b5fe97dac9f111f0c3100f0f8d5d23cb935fcf37796744b4d9c",
+    ),
+    "band": (
+        "4ee66012d3e1e362d2e1faf89aea3245d2b0d1e298b8cf2f44441238610508e5",
+        "d2e03f249a2ac0094b851232706c53e3ae028cd4ae635b6490f39787d35a46a0",
+        "3c084f6400c0db4c5d8ddf49b4e1965814ce7c399a6ae6523f68bb804aa055bb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_DIGESTS))
+def test_output_bytes_pinned(name, tmp_path):
+    # the band box run keeps its two seed lines, so its CSV and SVG cover
+    # the hyperplane rows as well as circles
+    if name == "band":
+        orb = pl.enumerate_packing(catalog.band_seed(), bound=60, box=((-3, -1), (3, 3)))
+    else:
+        orb = pl.enumerate_packing(pl.packing_seed(name), bound=3000)
+    csv = cli._spheres_csv(orb)
+    spheres, svg = tmp_path / "spheres.csv", tmp_path / "rendered.svg"
+    spheres.write_text(csv)
+    assert run(["render", "--spheres", str(spheres), "--out", str(svg), "--labels"]) == 0
+    texts = (csv, render_svg(orb.euclidean_spheres(), labels=True), svg.read_text())
+    digests = tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+    assert digests == OUTPUT_DIGESTS[name]
 
 
 def test_pack_custom_gram_requires_seed(tmp_path):

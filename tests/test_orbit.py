@@ -286,6 +286,18 @@ def test_altered_realization_fails_norm_check():
         replace(orb, seed=bad).euclidean_spheres()
 
 
+def test_euclidean_spheres_built_once():
+    seed = pl.packing_seed("apollonian2")
+    orb = enumerate_packing(seed, bound=300)
+    first, second = orb.euclidean_spheres(), orb.euclidean_spheres()
+    assert first == second and first is not second
+    assert first == [seed.euclidean_sphere(c) for c in orb.spheres]
+    first.clear()
+    assert orb.euclidean_spheres() == second
+    # the kept spheres are the same objects on every call
+    assert all(a is b for a, b in zip(second, orb.euclidean_spheres()))
+
+
 def test_box_needs_n_coordinates_per_corner():
     band = catalog.band_seed()  # circles: centers have 2 coordinates
     for box in (((-3,), (3, 3)), ((-3, -1, 0), (3, 3, 0)), ((-3, -1), (3, 3, 0))):

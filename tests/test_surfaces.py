@@ -346,6 +346,18 @@ def test_zero_ample_refused_isotropic_allowed(capsys):
     assert sorted(degrees) == sorted(map(abs, curvatures))
 
 
+def test_parabolic_stabilizer_of_isotropic_h_refused(capsys):
+    # deck2 and negation both fix the fibre class f; their product is a
+    # nontrivial unipotent, so every class it moves has infinitely many
+    # images of one degree
+    m = builtin_model("baragar_p2p2")
+    with pytest.raises(PreconditionError, match="infinitely many classes"):
+        orbit_count(m, 100, ample=(1, 0, 0))
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--T", "100", "--H", "1,0,0"]
+    assert cli.main(argv) == 3
+    assert "unipotent" in capsys.readouterr().err
+
+
 def test_zero_norm_reflection_refused():
     # (f, f) = 0 for the fibre class f
     with pytest.raises(PreconditionError, match="zero norm"):
