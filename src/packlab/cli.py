@@ -52,6 +52,8 @@ def _parse_gram(args):
 def _seed_from_args(args) -> orbit.Cluster:
     curvatures = _parse_rationals(args.seed) if args.seed else None
     if args.catalog:
+        if args.mode_action is not None:
+            raise ConfigError("--mode-action is for custom Gram matrices; a catalog seed fixes it")
         return catalog.packing_seed(args.catalog, curvatures=curvatures)
     cfg = _load_config(args) or {}
     gram = _parse_gram(args)
@@ -62,7 +64,7 @@ def _seed_from_args(args) -> orbit.Cluster:
         curvatures = [rat(x) for x in cfg["seed"]]
     if curvatures is None:
         raise ConfigError("a custom Gram matrix needs seed curvatures (--seed or the config's seed field)")
-    mode = cfg.get("action", args.mode_action)
+    mode = cfg.get("action", args.mode_action or "weights")
     return orbit.seed_cluster_from_curvatures(p, curvatures, mode=mode)
 
 
@@ -274,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     pack.add_argument("--seed", help="comma-separated exact curvatures")
     pack.add_argument("--T", help="curvature bound")
     pack.add_argument("--mode", default="bounded", choices=["bounded", "depth_limited"])
-    pack.add_argument("--mode-action", default="weights", choices=["weights", "mirrors"])
+    pack.add_argument(
+        "--mode-action", choices=["weights", "mirrors"], help="custom Grams only (default weights)"
+    )
     pack.add_argument("--max-depth", type=int)
     pack.add_argument("--slack", help="pruning slack >= 1")
     pack.add_argument(

@@ -91,6 +91,8 @@ def dyadic_grid(lo, hi, factor: float = 2.0) -> list[float]:
     lo, hi = float(lo), float(hi)
     if lo <= 0 or hi < lo:
         raise PreconditionError("grid needs 0 < lo <= hi")
+    if not factor > 1:
+        raise PreconditionError(f"grid factor must be > 1, got {factor}")
     out = []
     t = lo
     while t < hi * (1 - 1e-12):

@@ -32,10 +32,10 @@ it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
 
 Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
-expanded, and the walk's set of seen vectors is the sphere set.  The walk
-finds s s = I for every wall matrix itself, so a sphere is never
-reflected back in the wall that made it, and the doubled-slack
-recheck continues the walk instead of replaying it.  A weights-mode seed
+expanded, and its ``run`` keeps each walked sphere that is counted.  The
+walk finds s s = I for every wall matrix itself, so a sphere is never
+reflected back in the wall that made it, and the doubled-slack recheck
+continues the walk instead of replaying it.  A weights-mode seed
 that some generator lowers is refused (``_refuse_non_root``); one that
 passes is complete at slack 1 without a box, the weights-mode default
 (mirrors mode: 4).  A budgeted run writes a checkpoint holding its
@@ -365,8 +365,16 @@ class PackingOrbit:
         return sorted(out)
 
     def count(self, bound=None) -> int:
-        """Number of stored spheres with 0 < curvature <= bound."""
+        """Number of stored spheres with 0 < curvature <= bound.
+
+        A bound above the run's own is refused: the run kept no sphere
+        beyond it, so the count would fall short.
+        """
         bound = self.curvature_bound if bound is None else rat(bound)
+        if self.curvature_bound is not None and bound > self.curvature_bound:
+            raise PreconditionError(
+                f"bound {bound} exceeds the run's curvature bound {self.curvature_bound}"
+            )
         if bound is None:
             return sum(1 for k in self.curvatures if k > 0)
         top = tight(bound)
@@ -435,6 +443,9 @@ def enumerate_packing(
         raise PreconditionError(f"max_depth must be >= 0, got {max_depth}")
     if mode == "depth_limited" and (max_vectors is not None or _resume is not None):
         raise PreconditionError("checkpoints hold bounded sphere walks, not depth_limited runs")
+    bound = None if bound is None else rat(bound)
+    if bound is not None and bound <= 0:
+        raise PreconditionError("bound must be positive")
     if mode == "bounded":
         if bound is None:
             raise PreconditionError("bounded enumeration needs a curvature bound")
@@ -453,7 +464,6 @@ def enumerate_packing(
             _refuse_non_root(seed)
         if slack is None:
             slack = 1 if system.mode == "weights" else 4
-    bound = None if bound is None else rat(bound)
     if box is not None:
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
         if not len(box[0]) == len(box[1]) == system.polytope.n:
@@ -464,18 +474,13 @@ def enumerate_packing(
     box_text = None if box is None else [[str(x) for x in corner] for corner in box]
     kseed = seed.curvature_seed
     seed_spheres = [seed.cols[j] for j in system.sphere_slots]
-    centred = {}  # exact box membership, computed once per column
+    top = None if bound is None or kseed is None else tight(bound)  # None: keep every sphere
 
     def in_box(col):
-        if col not in centred:
-            center = seed.euclidean_sphere(col).center
-            centred[col] = all(a <= x <= b for x, a, b in zip(center, *box))
-        return centred[col]
+        return all(a <= x <= b for x, a, b in zip(seed.euclidean_sphere(col).center, *box))
 
-    def below_bound(sphere_set):
-        top = tight(bound)
-        kept = {c for c in sphere_set if 0 < sum(map(mul, kseed, c)) <= top}
-        return kept if box is None else set(filter(in_box, kept))
+    def counted(col):
+        return 0 < sum(map(mul, kseed, col)) <= top and (box is None or in_box(col))
 
     if mode == "depth_limited":
         stats, spheres = {"slack": None}, set(seed_spheres)
@@ -485,6 +490,8 @@ def enumerate_packing(
             for cols, last in level:
                 spheres.update(cols[j] for j in changed[last])
         truncated = "depth_cut" in stats
+        if top is not None:
+            spheres = set(filter(counted, spheres))
     else:
         row, scale = kseed, 1
         if box is not None:
@@ -507,7 +514,8 @@ def enumerate_packing(
                 + "; ".join(f"{k} {stored.get(k)} there, {meta[k]} here" for k in wrong)
             )
 
-        def run(levels, spheres) -> set:
+        def run(levels, seen) -> set:
+            kept = set()
             for depth, level in enumerate(levels, start + 1):
                 if box is None and not all(map(itemgetter(1), level)):
                     raise PackingError(
@@ -515,20 +523,21 @@ def enumerate_packing(
                         "unbounded and curvature counts are infinite without a "
                         "counting box; use depth_limited mode or supply a box"
                     )
-                if max_vectors is not None and len(spheres) > max_vectors:
-                    path = _write_checkpoint(checkpoint_dir, meta, spheres, level, depth)
+                kept.update(filter(counted, map(itemgetter(0), level)))
+                if max_vectors is not None and len(seen) > max_vectors:
+                    path = _write_checkpoint(checkpoint_dir, meta, seen, level, depth)
                     raise CheckpointError(
                         f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
                     )
-            return spheres
+            return kept
 
         spheres, stats, truncated = bounded_walk(
-            frontier, system.left_generators, row, bound * scale, slack, run, below_bound,
+            frontier, system.left_generators, row, bound * scale, slack, run,
             max_depth, convergence_check, depth=start, known=known,
         )
-    if bound is not None and kseed is not None:
-        seeds_kept = {c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c)}
-        spheres = below_bound(spheres) | seeds_kept
+        spheres.update(filter(counted, known))  # a checkpoint's frontier is among them
+    if top is not None:
+        spheres.update(c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c))
     ordered = tuple(sorted(spheres))
     stats.update(mode=mode, threads=threads)
     if box is not None:

@@ -424,7 +424,7 @@ def orbit_count(
         return collected
 
     collected, stats, truncated = bounded_walk(
-        [seed_t], generators, hrow, bound, slack, run, dict.keys, check=convergence_check
+        [seed_t], generators, hrow, bound, slack, run, check=convergence_check
     )
     stats["threads"] = threads
     return OrbitCount(

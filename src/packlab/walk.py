@@ -10,8 +10,8 @@ walk then drops the children whose key it has already seen.
 surface counts both count the orbits of a few integer vectors under
 exact square matrices acting on columns from the left, cut off by the
 height ``|row . v|``.  It holds the pruning limit, the doubled-slack
-recheck and every work counter; its callers only collect outputs and
-enforce budgets.  Roots are always expanded, and ``known`` vectors (a
+recheck and every work counter; a caller's ``run`` picks what it counts
+and enforces budgets.  Roots are always expanded, and ``known`` vectors (a
 resumed checkpoint's spheres) start out seen, so the walk does not walk
 them again.  It builds each node once: the recheck continues the first
 walk instead of replaying it, and a generator with A A = I, which the
@@ -88,7 +88,7 @@ def image(moves, v) -> tuple:
 
 def bounded_walk(
     roots: Sequence[tuple], generators: Sequence[Sequence[tuple]], row: Sequence, bound, slack,
-    run: Callable, below: Callable, max_depth=None, check=True, depth=0, known=(),
+    run: Callable, max_depth=None, check=True, depth=0, known=(),
 ):
     """The orbit of the root vectors, pruned beyond ``bound * slack``, and its recheck.
 
@@ -101,19 +101,19 @@ def bounded_walk(
     only give back the parent.  A node is ``(vector, |row . vector|, index
     of the generator that made it)``, -1 for a root.  A child beyond the
     limit (an int when integral) is pruned, and dedup is by vector.
-    ``run(levels, seen)`` consumes one pass's levels and returns its
-    outputs, a set or a dict; ``seen`` is the live set of vectors:
-    ``known``, the roots and every child kept so far.  With ``check``, a
-    walk that pruned something is rechecked at twice the limit; one that
-    pruned nothing already reached every node.
+    ``run(levels, seen)`` consumes one pass's levels and returns what it
+    counts, a set or dict of its own keyed by vector; ``seen`` is the live
+    set of vectors: ``known``, the roots and every child kept so far.  With
+    ``check``, a walk that pruned something is rechecked at twice the
+    limit; one that pruned nothing already reached every node.
     The recheck is a second ``run`` on the same ``seen``: each level takes
     the children the walk pruned there within twice the limit, and only
     nodes new to ``seen`` are expanded.  Without a depth cap it reaches
     what a fresh walk at twice the limit reaches, since the first node of
     any path outside the walk's set is such a child; it counts levels as
     the walk does, so ``max_depth`` cuts it at the same level.  If its
-    outputs within the counting bound (``below``) hold any that the
-    walk's lack, the walk missed a branch: the union of both is returned.
+    ``run`` counts a vector that the walk's did not, the walk missed a
+    branch: the union of both is returned.
 
     Returns (outputs, stats, truncated): a disagreement or a first-walk
     depth cut truncates; stats holds the first walk's counters, ``slack``
@@ -169,12 +169,10 @@ def bounded_walk(
     outputs = run(walk(nodes, expansion(limit, held), seen, stats, max_depth, depth), seen)
     truncated = "depth_cut" in stats
     if check and stats["pruned"]:
-        # outputs may be seen itself, which the recheck grows
-        before, wide = set(below(outputs)), {}
-        held = deque(map(rebuild, held))
+        wide, held = {}, deque(map(rebuild, held))
         more = run(walk([], expansion(far), seen, wide, max_depth, depth, held), seen)
         stats["recheck_expanded"] = wide["expanded"]
-        if not before.issuperset(below(more)):
+        if not set(outputs).issuperset(more):
             outputs, truncated = outputs | more, True
     stats["slack"] = str(slack)
     return outputs, stats, truncated

@@ -68,21 +68,18 @@ STEPS = (((1, 1), (0, 1)), ((2, 0), (0, 1)))
 ROOT = (Height(1), 1)
 
 
-def _below(outputs):
-    return {x for x in outputs if x < 5}
-
-
 def _collect(levels, seen):
+    # counts every n below 5 the pass leaves seen, as a set of its own
     for _ in levels:
         pass
-    return {n for n, _ in seen}
+    return {n for n, _ in seen if n < 5}
 
 
 def test_recheck_takes_union_on_disagreement():
     # limits 6 then 12: the wider walk finds nothing new below 5
     Height.limits.clear()
-    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), "3", 2, _collect, _below)
-    assert (out, truncated) == ({1, 2, 3, 4, 5, 6}, False)
+    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), "3", 2, _collect)
+    assert (out, truncated) == ({1, 2, 3, 4}, False)
     assert set(Height.limits) == {6, 12} and all(type(x) is int for x in Height.limits)
     assert stats["expanded"] == 12
     # the recheck continues the first walk: it expands only the nodes that
@@ -91,10 +88,10 @@ def test_recheck_takes_union_on_disagreement():
     assert stats["recheck_expanded"] == 12
     assert stats["slack"] == "2"
     # limit 3 misses 4, which the walk at limit 6 finds: the union, truncated
-    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), 3, 1, _collect, _below)
-    assert (out, truncated) == ({1, 2, 3, 4, 5, 6}, True)
+    out, stats, truncated = bounded_walk([ROOT], STEPS, (1, 0), 3, 1, _collect)
+    assert (out, truncated) == ({1, 2, 3, 4}, True)
     with pytest.raises(PreconditionError, match="slack"):
-        bounded_walk([ROOT], STEPS, (1, 0), 3, "1/2", _collect, _below)
+        bounded_walk([ROOT], STEPS, (1, 0), 3, "1/2", _collect)
 
 
 def test_bounded_walk_skips_recheck_when_nothing_pruned():
@@ -105,7 +102,7 @@ def test_bounded_walk_skips_recheck_when_nothing_pruned():
         return passes[-1]
 
     # a finite orbit: the one generator fixes the root, so nothing is pruned
-    out, stats, truncated = bounded_walk([(0, 1)], [((1, 0), (0, 1))], (1, 0), 10, 1, run, _below)
+    out, stats, truncated = bounded_walk([(0, 1)], [((1, 0), (0, 1))], (1, 0), 10, 1, run)
     assert passes == [{0}] and "recheck_expanded" not in stats
     assert (out, truncated) == ({0}, False)
 
@@ -113,9 +110,9 @@ def test_bounded_walk_skips_recheck_when_nothing_pruned():
     # cap sooner, and known vectors start out seen: 3 is not walked again,
     # so its children 6 and 7 are never reached
     out, stats, truncated = bounded_walk(
-        [(1, 1)], STEPS, (1, 0), 100, 1, _collect, _below, max_depth=4, depth=1, known=[(3, 1)]
+        [(1, 1)], STEPS, (1, 0), 100, 1, _collect, max_depth=4, depth=1, known=[(3, 1)]
     )
-    assert (out, truncated) == ({1, 2, 3, 4, 5, 8}, True)
+    assert (out, truncated) == ({1, 2, 3, 4}, True)
     assert stats["depth_cut"] == 2 and stats["expanded"] == 6
 
 
@@ -123,7 +120,7 @@ def test_involution_is_not_applied_to_a_node_it_made():
     # the walk finds that flip * flip = I itself; shift * shift is not I
     flip, shift = ((-1, 0), (0, 1)), ((1, 1), (0, 1))
     out, stats, _ = bounded_walk(
-        [(1, 1)], [flip, shift], (1, 0), 3, 1, _collect, _below, check=False
+        [(1, 1)], [flip, shift], (1, 0), 3, 1, _collect, check=False
     )
     assert out == {-3, -2, -1, 0, 1, 2, 3}
     # -1, -2 and -3 are made by the flip and never flipped back to their
@@ -179,26 +176,26 @@ def _fresh_walk(roots, generators, limit, max_depth):
 def test_bounded_walk_matches_two_fresh_walks(specs, roots, bound, slack, max_depth):
     generators = [_generator(*spec) for spec in specs]
 
+    def below(out):
+        return {v for v in out if abs(v[0]) <= bound}
+
     def run(levels, seen):
         out = set(roots)
         for level in levels:
             out.update(node[0] for node in level)
-        return out
-
-    def below(out):
-        return {v for v in out if abs(v[0]) <= bound}
+        return below(out)
 
     out, _, truncated = bounded_walk(
-        roots, generators, (1, 0, 0), bound, slack, run, below, max_depth
+        roots, generators, (1, 0, 0), bound, slack, run, max_depth
     )
     # the oracle: a fresh walk at the limit and, if it pruned anything, one
     # at twice the limit, whose outputs join the first's on disagreement
     first, stats = _fresh_walk(roots, generators, bound * slack, max_depth)
-    want, want_truncated, second = set(first), "depth_cut" in stats, first
+    want, want_truncated, second = below(first), "depth_cut" in stats, first
     if stats["pruned"]:
         second = _fresh_walk(roots, generators, 2 * bound * slack, max_depth)[0]
         if below(first) != below(second):
-            want, want_truncated = want | set(second), True
+            want, want_truncated = want | below(second), True
     if max_depth is None or all(second[v] == d for v, d in first.items()):
         assert (out, truncated) == (want, want_truncated)
     else:
@@ -207,7 +204,7 @@ def test_bounded_walk_matches_two_fresh_walks(specs, roots, bound, slack, max_de
         # nodes sooner, the depth cap can cut a branch a fresh walk at
         # twice the limit keeps, and never the other way round
         event("a wider path reaches a node sooner")
-        assert set(first) <= out <= set(first) | set(second)
+        assert below(first) <= out <= below(first) | below(second)
         assert want_truncated or not truncated
 
 
@@ -267,7 +264,7 @@ def test_pruned_children_are_never_built(monkeypatch):
     generators = [_generator(*spec) for spec in specs]
     run, starts = _built_by_pass(built)
     roots = [(1, 1, 1), (-2, -1, 1)]
-    _, stats, _ = bounded_walk(roots, generators, (1, 0, 0), 20, 1, run, set, check=False)
+    _, stats, _ = bounded_walk(roots, generators, (1, 0, 0), 20, 1, run, check=False)
     assert stats["pruned"] > 0
     # setup builds no vector: each child is priced from its parent
     assert starts == [0]
@@ -280,7 +277,7 @@ def test_recheck_builds_only_held_and_kept_children(monkeypatch):
     built = _counted(monkeypatch)
     run, starts = _built_by_pass(built)
     # limits 6 then 12, as in test_recheck_takes_union_on_disagreement
-    _, stats, _ = bounded_walk([(1, 1)], STEPS, (1, 0), 3, 2, run, set)
+    _, stats, _ = bounded_walk([(1, 1)], STEPS, (1, 0), 3, 2, run)
     assert starts[0] == 0
     walked, rechecked = built[:starts[1]], built[starts[1]:]
     assert len(walked) == stats["expanded"] - stats["pruned"] == 8
