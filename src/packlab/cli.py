@@ -64,7 +64,7 @@ def _seed_from_args(args) -> orbit.Cluster:
         curvatures = [rat(x) for x in cfg["seed"]]
     if curvatures is None:
         raise ConfigError("a custom Gram matrix needs seed curvatures (--seed or the config's seed field)")
-    mode = cfg.get("action", args.mode_action or "weights")
+    mode = args.mode_action or cfg.get("action", "weights")
     return orbit.seed_cluster_from_curvatures(p, curvatures, mode=mode)
 
 

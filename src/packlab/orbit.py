@@ -3,10 +3,10 @@
 Every generator is one wall reflection, written by ``exact.reflection`` as
 the rank-one update s = I + a q^T over the working basis.  It acts from
 the left on single sphere columns as its exact matrix
-(``OrbitSystem.left_generators``; bounded runs: a packing's spheres are
-the orbits of the seed spheres), and from the right on clusters,
-C -> C + (C a) q^T (the reduced-word walk of ``iter_clusters`` and
-depth-limited runs).  The mode picks basis and walls:
+(``OrbitSystem.left_generators``; every packing run: a packing's spheres
+are the orbits of the seed spheres), and from the right on clusters,
+C -> C + (C a) q^T (``iter_clusters``, which lists group elements).  The
+mode picks basis and walls:
 
 * ``weights`` mode: clusters are tuples of (normalized) dual weights of a
   Coxeter polytope and wall i is column i of G, so q = e_i: reflection i
@@ -30,18 +30,20 @@ inversive coordinates are the numerators rows . col over d, norm-checked
 in integers.  Output spheres, sphere vectors and box membership all read
 it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
 
-Bounded runs are the vector-orbit walk ``walk.bounded_walk``, which
+Both packing modes are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
-expanded, and its ``run`` keeps each walked sphere that is counted.  The
-walk finds s s = I for every wall matrix itself, so a sphere is never
-reflected back in the wall that made it, and the doubled-slack recheck
-continues the walk instead of replaying it.  A weights-mode seed
-that some generator lowers is refused (``_refuse_non_root``); one that
-passes is complete at slack 1 without a box, the weights-mode default
-(mirrors mode: 4).  A budgeted run writes a checkpoint holding its
-spheres, its frontier and what the frontier depends on (mode, rank, seed
-curvatures, bound, slack and box); a resume must match all of them, and
-the checkpoint's spheres start out seen (``known``).
+expanded, and its ``run`` keeps each walked sphere that is counted.  A
+depth-limited run walks with a zero height row and bound 0, so it prunes
+nothing and only max_depth stops it.  The walk finds s s = I for every
+wall matrix itself, so a sphere is never reflected back in the wall that
+made it, and the doubled-slack recheck continues the walk instead of
+replaying it.  A weights-mode seed that some generator lowers is refused
+(``_refuse_non_root``); one that passes is complete at slack 1 without a
+box, the weights-mode default (mirrors mode: 4).  A budgeted run writes
+a checkpoint holding its spheres, its frontier and what the frontier
+depends on (mode, rank, seed curvatures, bound, slack and box); a resume
+must match all of them, and the checkpoint's spheres start out seen
+(``known``).
 """
 
 from __future__ import annotations
@@ -314,8 +316,12 @@ def _apply(cols, a, q):
     )
 
 
-def _word_levels(seed: Cluster, max_depth=None, stats=None):
-    """The unpruned reduced-word walk over distinct clusters: levels of (cols, last) nodes."""
+def iter_clusters(
+    seed: Cluster,
+    max_count: Optional[int] = None,
+    max_depth: Optional[int] = None,
+) -> Iterator[Cluster]:
+    """Breadth-first reduced-word walk over distinct clusters, seed first."""
     gens = seed.system.reflections
 
     def expand(level):
@@ -324,16 +330,7 @@ def _word_levels(seed: Cluster, max_depth=None, stats=None):
         ]
         return children, 0
 
-    return walk([(seed.cols, -1)], expand, set(), stats, max_depth)
-
-
-def iter_clusters(
-    seed: Cluster,
-    max_count: Optional[int] = None,
-    max_depth: Optional[int] = None,
-) -> Iterator[Cluster]:
-    """Breadth-first reduced-word walk over distinct clusters, seed first."""
-    levels = _word_levels(seed, max_depth)
+    levels = walk([(seed.cols, -1)], expand, set(), max_depth=max_depth)
     clusters = (replace(seed, cols=cols) for level in levels for cols, _ in level)
     yield from islice(chain([seed], clusters), max_count)
 
@@ -348,9 +345,10 @@ class PackingOrbit:
     truncated: bool
     stats: dict = field(compare=False, default_factory=dict)
 
-    @property
+    @cached_property
     def curvatures(self) -> tuple:
-        """Exact curvature of each stored sphere: an int where integral."""
+        """Exact curvature of each stored sphere: an int where integral,
+        computed on first access and kept while the orbit lives."""
         kseed = self.seed.curvature_seed
         if kseed is None:
             raise PreconditionError("cluster has no curvature data attached")
@@ -415,24 +413,26 @@ def enumerate_packing(
 ) -> PackingOrbit:
     """Collect the distinct spheres of the packing generated by the seed.
 
-    bounded mode walks the orbits of the seed spheres, one sphere per node,
-    and keeps spheres with 0 < curvature <= bound plus every seed member.
-    It prunes a sphere whose height exceeds slack times the height bound;
-    a recheck at doubled slack, continuing the walk from the spheres it
-    pruned, marks the result truncated if it finds a sphere below the
-    bound that the walk missed.  The height is |curvature|; with a box it is
-    the curvature seen from p, the center of the first seed sphere of
-    positive curvature, at most bound * D^2 for a sphere centred in the
-    box (D: the farthest box corner from p).  A weights-mode seed must pass
-    ``_refuse_non_root``, which makes the default slack 1 complete without a
-    box; mirrors mode defaults to 4.  depth_limited mode expands every
-    reduced word up to max_depth, which it requires, without pruning;
-    a sphere's walk level is the depth at which that walk creates it, so
-    max_depth means the same in both modes.  With a box, a sphere (seed
-    members of curvature > 0 included) is kept only when its exact center
-    lies in the box.  Checkpoints (max_vectors) are for bounded runs.
-    threads is accepted for compatibility and changes nothing: the walk
-    runs in one thread.
+    Both modes walk the orbits of the seed spheres, one sphere per node,
+    and keep every seed member plus each walked sphere with
+    0 < curvature <= bound (every walked sphere when there is no bound).
+    In bounded mode the walk prunes a sphere whose height exceeds slack
+    times the height bound; a recheck at doubled slack, continuing the
+    walk from the spheres it pruned, marks the result truncated if it
+    finds a sphere below the bound that the walk missed.  The height is
+    |curvature|; with a box it is the curvature seen from p, the center of
+    the first seed sphere of positive curvature, at most bound * D^2 for a
+    sphere centred in the box (D: the farthest box corner from p).  A
+    weights-mode seed must pass ``_refuse_non_root``, which makes the
+    default slack 1 complete without a box; mirrors mode defaults to 4.
+    In depth_limited mode every height is 0, so the walk prunes nothing
+    and only max_depth, which the mode requires, stops it; a sphere's walk
+    level is its shortest word length in the generators, so max_depth
+    means the same in both modes.  A box needs a bound; with one, a sphere
+    (seed members of curvature > 0 included) is kept only when its exact
+    center lies in the box.  Checkpoints (max_vectors) are for bounded
+    runs.  threads is accepted for compatibility and changes nothing: the
+    walk runs in one thread.
     """
     system = seed.system
     if mode not in ("bounded", "depth_limited"):
@@ -458,13 +458,15 @@ def enumerate_packing(
                 "seed contains curvature-zero spheres: the packing is unbounded and "
                 "curvature counts are infinite without a counting box"
             )
-        if box is not None and seed.realization is None:
-            raise PackingError("box counting needs a seed with exact geometry")
         if system.mode == "weights":
             _refuse_non_root(seed)
-        if slack is None:
-            slack = 1 if system.mode == "weights" else 4
+    if slack is None:
+        slack = 1 if system.mode == "weights" else 4
     if box is not None:
+        if bound is None:
+            raise PreconditionError("a counting box needs a curvature bound")
+        if seed.realization is None:
+            raise PackingError("box counting needs a seed with exact geometry")
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
         if not len(box[0]) == len(box[1]) == system.polytope.n:
             raise PreconditionError(
@@ -480,64 +482,56 @@ def enumerate_packing(
         return all(a <= x <= b for x, a, b in zip(seed.euclidean_sphere(col).center, *box))
 
     def counted(col):
-        return 0 < sum(map(mul, kseed, col)) <= top and (box is None or in_box(col))
+        low = top is None or 0 < sum(map(mul, kseed, col)) <= top
+        return low and (box is None or in_box(col))
 
     if mode == "depth_limited":
-        stats, spheres = {"slack": None}, set(seed_spheres)
-        # the sphere columns that each generator changes: the slots j with q_j != 0
-        changed = [[j for j in system.sphere_slots if q[j]] for _, q in system.reflections]
-        for level in _word_levels(seed, max_depth, stats):
-            for cols, last in level:
-                spheres.update(cols[j] for j in changed[last])
-        truncated = "depth_cut" in stats
-        if top is not None:
-            spheres = set(filter(counted, spheres))
+        row, limit = (0,) * system.rank, 0  # every height is 0: only max_depth stops the walk
+    elif box is None:
+        row, limit = kseed, bound
     else:
-        row, scale = kseed, 1
-        if box is not None:
-            seeds = seed.euclidean_spheres()
-            p = next(c.center for c in seeds if c.kind == "sphere" and c.curvature > 0)
-            # k|c - p|^2 - 1/k = a0|p|^2 - 2 a.p - 2 a_{n+1} is linear in the
-            # inversive coordinates a: one integer row over the basis
-            form = (sum(x * x for x in p),) + tuple(-2 * x for x in p) + (-2,)
-            rows, d = seed.realization
-            (row,), e = cleared([[dot(form, col) for col in zip(*rows)]])
-            scale = e * d * sum(max((a - x) ** 2, (b - x) ** 2) for x, a, b in zip(p, *box))
-        meta = dict(mode=system.mode, rank=system.rank, seed=[str(k) for k in kseed],
-                    bound=str(bound), slack=str(rat(slack)), box=box_text)
-        # a resume starts at the checkpoint's frontier level, its spheres already seen
-        stored, known, frontier, start = _resume or (meta, (), seed_spheres, 0)
-        wrong = [k for k in meta if stored.get(k) != meta[k]]
-        if wrong:
-            raise PreconditionError(
-                "checkpoint does not match this run: "
-                + "; ".join(f"{k} {stored.get(k)} there, {meta[k]} here" for k in wrong)
-            )
-
-        def run(levels, seen) -> set:
-            kept = set()
-            for depth, level in enumerate(levels, start + 1):
-                if box is None and not all(map(itemgetter(1), level)):
-                    raise PackingError(
-                        "orbit reached a curvature-zero sphere: the packing is "
-                        "unbounded and curvature counts are infinite without a "
-                        "counting box; use depth_limited mode or supply a box"
-                    )
-                kept.update(filter(counted, map(itemgetter(0), level)))
-                if max_vectors is not None and len(seen) > max_vectors:
-                    path = _write_checkpoint(checkpoint_dir, meta, seen, level, depth)
-                    raise CheckpointError(
-                        f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
-                    )
-            return kept
-
-        spheres, stats, truncated = bounded_walk(
-            frontier, system.left_generators, row, bound * scale, slack, run,
-            max_depth, convergence_check, depth=start, known=known,
+        seeds = seed.euclidean_spheres()
+        p = next(c.center for c in seeds if c.kind == "sphere" and c.curvature > 0)
+        # k|c - p|^2 - 1/k = a0|p|^2 - 2 a.p - 2 a_{n+1} is linear in the
+        # inversive coordinates a: one integer row over the basis
+        form = (sum(x * x for x in p),) + tuple(-2 * x for x in p) + (-2,)
+        rows, d = seed.realization
+        (row,), e = cleared([[dot(form, col) for col in zip(*rows)]])
+        limit = bound * e * d * sum(max((a - x) ** 2, (b - x) ** 2) for x, a, b in zip(p, *box))
+    meta = dict(mode=system.mode, rank=system.rank, seed=[str(k) for k in kseed or ()],
+                bound=str(bound), slack=str(rat(slack)), box=box_text)
+    # a resume starts at the checkpoint's frontier level, its spheres already seen
+    stored, known, frontier, start = _resume or (meta, (), seed_spheres, 0)
+    wrong = [k for k in meta if stored.get(k) != meta[k]]
+    if wrong:
+        raise PreconditionError(
+            "checkpoint does not match this run: "
+            + "; ".join(f"{k} {stored.get(k)} there, {meta[k]} here" for k in wrong)
         )
-        spheres.update(filter(counted, known))  # a checkpoint's frontier is among them
-    if top is not None:
-        spheres.update(c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c))
+
+    def run(levels, seen) -> set:
+        kept = set()
+        for depth, level in enumerate(levels, start + 1):
+            if mode == "bounded" and box is None and not all(map(itemgetter(1), level)):
+                raise PackingError(
+                    "orbit reached a curvature-zero sphere: the packing is "
+                    "unbounded and curvature counts are infinite without a "
+                    "counting box; use depth_limited mode or supply a box"
+                )
+            kept.update(filter(counted, map(itemgetter(0), level)))
+            if max_vectors is not None and len(seen) > max_vectors:
+                path = _write_checkpoint(checkpoint_dir, meta, seen, level, depth)
+                raise CheckpointError(
+                    f"sphere budget {max_vectors} exceeded; checkpoint at {path}", path
+                )
+        return kept
+
+    spheres, stats, truncated = bounded_walk(
+        frontier, system.left_generators, row, limit, slack, run,
+        max_depth, convergence_check, depth=start, known=known,
+    )
+    spheres.update(filter(counted, known))  # a checkpoint's frontier is among them
+    spheres.update(c for c in seed_spheres if box is None or dot(kseed, c) <= 0 or in_box(c))
     ordered = tuple(sorted(spheres))
     stats.update(mode=mode, threads=threads)
     if box is not None:

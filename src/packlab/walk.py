@@ -6,18 +6,20 @@ class vector, or a cluster's columns.  ``expand(level)`` returns the
 children that pass its prune test, in order, and how many it pruned; the
 walk then drops the children whose key it has already seen.
 
-``bounded_walk`` is the one bounded vector-orbit walk: packings and
-surface counts both count the orbits of a few integer vectors under
+``bounded_walk`` is the one vector-orbit walk: packings in both modes
+and surface counts all count the orbits of a few integer vectors under
 exact square matrices acting on columns from the left, cut off by the
-height ``|row . v|``.  It holds the pruning limit, the doubled-slack
-recheck and every work counter; a caller's ``run`` picks what it counts
-and enforces budgets.  Roots are always expanded, and ``known`` vectors (a
-resumed checkpoint's spheres) start out seen, so the walk does not walk
-them again.  It builds each node once: the recheck continues the first
-walk instead of replaying it, and a generator with A A = I, which the
-walk detects itself, is never applied back to the node it made.  Every
-generator is linear, so a child's height is priced from its parent, as
-(row A) . v, and a pruned child is never built.
+height ``|row . v|`` (a depth-limited packing's zero row cuts nothing).
+``iter_clusters``, which lists group elements as clusters, is the only
+other caller of ``walk``.  ``bounded_walk`` holds the pruning limit, the
+doubled-slack recheck and every work counter; a caller's ``run`` picks
+what it counts and enforces budgets.  Roots are always expanded, and
+``known`` vectors (a resumed checkpoint's spheres) start out seen, so the
+walk does not walk them again.  It builds each node once: the recheck
+continues the first walk instead of replaying it, and a generator with
+A A = I, which the walk detects itself, is never applied back to the node
+it made.  Every generator is linear, so a child's height is priced from
+its parent, as (row A) . v, and a pruned child is never built.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def bounded_walk(
     exactly: such a generator is not tried on a node it made, which would
     only give back the parent.  A node is ``(vector, |row . vector|, index
     of the generator that made it)``, -1 for a root.  A child beyond the
-    limit (an int when integral) is pruned, and dedup is by vector.
+    limit (an int when integral) is pruned, and dedup is by vector.  A
+    zero ``row`` with ``bound`` 0 prunes nothing: every height is 0, so
+    only ``max_depth`` stops the walk.
     ``run(levels, seen)`` consumes one pass's levels and returns what it
     counts, a set or dict of its own keyed by vector; ``seen`` is the live
     set of vectors: ``known``, the roots and every child kept so far.  With

@@ -57,23 +57,19 @@ def _exhaustive_depth12():
         (5400, -160, -300, -7),
     )
 
-    def swap(cols, i):
-        total = tuple(a + b + c + d for a, b, c, d in zip(*cols))
-        new = tuple(2 * t - 3 * v for t, v in zip(total, cols[i]))
-        return cols[:i] + (new,) + cols[i + 1 :]
-
     spheres = set(seed_vecs)
     stack = [(seed_vecs, -1, 0)]
     while stack:
         cols, last, depth = stack.pop()
-        if depth == 12:
-            continue
+        # the swap k_i -> 2 (sum of all) - 3 k_i; the sum is shared by the children
+        total = tuple(a + b + c + d for a, b, c, d in zip(*cols))
         for i in range(4):
             if i == last:
                 continue
-            child = swap(cols, i)
-            spheres.add(child[i])
-            stack.append((child, i, depth + 1))
+            new = tuple(2 * t - 3 * v for t, v in zip(total, cols[i]))
+            spheres.add(new)
+            if depth < 11:  # a depth-12 child adds its new column and is not expanded
+                stack.append((cols[:i] + (new,) + cols[i + 1 :], i, depth + 1))
     return spheres
 
 

@@ -147,6 +147,28 @@ def test_bounded_max_depth_is_word_length():
         assert bounded.spheres == words.spheres
 
 
+@pytest.mark.parametrize(
+    "name, depth, size",
+    [("apollonian2", 6, 1460), ("apollonian3", 4, 300), ("boyd", 5, 200),
+     ("ideal-triangle", 6, 570), ("band", 5, 488)],
+)
+def test_depth_limited_equals_cluster_columns(name, depth, size):
+    # independent oracle: the sphere-slot columns of every cluster of a
+    # reduced word of length <= depth, from the right-acting cluster walk
+    seed = catalog.band_seed() if name == "band" else pl.packing_seed(name)
+    slots = seed.system.sphere_slots
+    want = {c.cols[j] for c in iter_clusters(seed, max_depth=depth) for j in slots}
+    orb = enumerate_packing(seed, mode="depth_limited", max_depth=depth)
+    assert len(want) == size
+    assert set(orb.spheres) == want
+
+
+def test_orbit_curvatures_are_computed_once(apollonian_seed):
+    orb = enumerate_packing(apollonian_seed, bound=300)
+    assert orb.curvatures is orb.curvatures
+    assert (orb.count(), len(orb.positive_curvatures())) == (33, 33)
+
+
 def test_packing_property_sampled(apollonian_seed):
     orb = enumerate_packing(apollonian_seed, bound=500)
     vs = orb.sphere_vectors()

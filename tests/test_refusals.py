@@ -1,5 +1,6 @@
 """Arguments that cannot give a correct answer are refused, not answered wrongly."""
 
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,40 @@ def test_count_above_the_run_bound_is_refused(apollonian_seed):
 def test_nonpositive_bound_is_refused(apollonian_seed, mode, bound):
     with pytest.raises(PreconditionError, match="bound must be positive"):
         pl.enumerate_packing(apollonian_seed, bound=bound, mode=mode, max_depth=3)
+
+
+def test_box_without_bound_is_refused():
+    # the box filters what the bound keeps: with no bound, spheres centred
+    # outside it would be kept under a note saying the counts are restricted
+    band, box = pl.band_seed(), ((-1, -1), (1, 3))
+    with pytest.raises(PreconditionError, match="a counting box needs a curvature bound"):
+        pl.enumerate_packing(band, mode="depth_limited", max_depth=3, box=box)
+    orb = pl.enumerate_packing(band, bound=1000, mode="depth_limited", max_depth=3, box=box)
+    outside = [
+        s for s in orb.euclidean_spheres()
+        if s.kind == "sphere" and s.curvature > 0
+        and not all(a <= x <= b for x, a, b in zip(s.center, *box))
+    ]
+    assert (len(orb.spheres), outside) == (25, [])
+
+
+def test_pack_box_needs_bound(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    argv = ["pack", "--catalog", "apollonian2", "--max-depth", "3", "--box=-1,-1,1,3"]
+    assert cli.main([*argv, "--out", str(out)]) == 3
+    assert "a counting box needs a curvature bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mode_action_beats_gram_file_action(tmp_path, capsys):
+    gram = [[str(x) for x in row] for row in pl.polytope("apollonian2").gram]
+    cfg = tmp_path / "ap.json"
+    cfg.write_text(json.dumps({"gram": gram, "seed": ["-1", "2", "2", "3"], "action": "mirrors"}))
+    out = tmp_path / "s.csv"
+    argv = ["pack", "--gram-file", str(cfg), "--T", "20", "--out", str(out)]
+    assert cli.main([*argv, "--mode-action", "weights"]) == 0
+    assert "23 spheres" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == 24
 
 
 @pytest.mark.parametrize("bound", ["0", "-5"])
