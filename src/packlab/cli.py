@@ -25,6 +25,7 @@ from .coxeter import build_polytope, dual_polytope
 from .errors import ConfigError, PacklabError, PreconditionError, TruncatedCurveError
 from .exact import mat, rat, vec
 from .inversive import EuclideanSphere, center_radius, render_svg
+from .realize import approximate_spheres
 
 
 def _parse_rationals(text: str):
@@ -81,8 +82,6 @@ def _spheres_csv(result: orbit.PackingOrbit) -> str:
                 c = " ".join(f"{x:.12g}" for x in center)
                 lines.append(f"{s.curvature},{c},{r:.12g}")
     else:
-        from .realize import approximate_spheres
-
         for rec, k in zip(
             approximate_spheres(seed, result.spheres), result.curvatures
         ):

@@ -428,7 +428,8 @@ def enumerate_packing(
     In depth_limited mode every height is 0, so the walk prunes nothing
     and only max_depth, which the mode requires, stops it; a sphere's walk
     level is its shortest word length in the generators, so max_depth
-    means the same in both modes.  A box needs a bound; with one, a sphere
+    means the same in both modes.  A bound needs a seed with curvature
+    data, and a box needs a bound; with one, a sphere
     (seed members of curvature > 0 included) is kept only when its exact
     center lies in the box.  Checkpoints (max_vectors) are for bounded
     runs.  threads is accepted for compatibility and changes nothing: the
@@ -446,11 +447,11 @@ def enumerate_packing(
     bound = None if bound is None else rat(bound)
     if bound is not None and bound <= 0:
         raise PreconditionError("bound must be positive")
+    if bound is not None and seed.curvature_seed is None:
+        raise PreconditionError("a curvature bound needs cluster curvature data")
     if mode == "bounded":
         if bound is None:
             raise PreconditionError("bounded enumeration needs a curvature bound")
-        if seed.curvature_seed is None:
-            raise PreconditionError("bounded enumeration needs cluster curvature data")
         if system.polytope.level is None:
             raise PackingError("polytope is not of level <= 2: orbit is not a packing")
         if any(k == 0 for k in seed.curvatures) and box is None:
@@ -476,7 +477,7 @@ def enumerate_packing(
     box_text = None if box is None else [[str(x) for x in corner] for corner in box]
     kseed = seed.curvature_seed
     seed_spheres = [seed.cols[j] for j in system.sphere_slots]
-    top = None if bound is None or kseed is None else tight(bound)  # None: keep every sphere
+    top = None if bound is None else tight(bound)  # None: keep every sphere
 
     def in_box(col):
         return all(a <= x <= b for x, a, b in zip(seed.euclidean_sphere(col).center, *box))

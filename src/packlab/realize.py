@@ -1,109 +1,92 @@
-"""Floating-point realization of abstract packing clusters.
+"""Float sphere coordinates for packings without an exact realization.
 
-Some packings (the divergent-wall example among them) admit no rational
-sphere-vector realization even though their curvatures are integers, so
-render-oriented outputs fall back to floats.  Given the normalized weight
-Gram W and a curvature vector k with k^T W^{-1} k = 0, this builds real
-sphere vectors with Gram W whose first coordinates are exactly the
-requested curvatures: diagonalize W against the standard inversive frame,
-then move the isotropic vector representing the curvature functional onto
-the last basis vector by Lorentz reflections.
+Some packings (``boyd``, ``apollonian3``, many custom Grams) have integer
+curvatures but no rational sphere-vector realization: their geometry lives
+in a real quadratic field.  It is still exact linear algebra on the
+normalized basis Gram W and the seed curvatures k, with ( , ) the pairing
+W defines:
 
-Float output only; never feed these coordinates back into exact code.
+* u = W^-1 k is isotropic by the Soddy identity, and (u, c) = k . c is the
+  curvature of a column c;
+* for the first slot j with k_j != 0, w = e_j / k_j - (W_jj / 2 k_j^2) u is
+  isotropic with (u, w) = 1;
+* the f_i are an exact Gram-Schmidt basis of the basis vectors projected by
+  x -> x - (x, w) u - (x, u) w, zero vectors dropped.  The complement of
+  span(u, w) is positive definite, so there are rank - 2 of them and every
+  d_i = (f_i, f_i) > 0.
+
+Then W^-1 = u w^T + w u^T + sum f_i f_i^T / d_i, so the rows k, W f_i /
+sqrt(d_i), W w realize W in inversive coordinates (X^T J X = W) with the
+seed's curvatures, and seed sphere j sits at the origin.  Only the square
+roots and the final quotients are floats: output for rendering, never to
+be fed back into exact code.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from fractions import Fraction
+from operator import mul
 
+from . import exact
 from .errors import PreconditionError
 from .orbit import Cluster
 
 
-def _inversive_gram(n: int) -> np.ndarray:
-    j = np.zeros((n + 2, n + 2))
-    for i in range(1, n + 1):
-        j[i, i] = 1.0
-    j[0, n + 1] = j[n + 1, 0] = 1.0
-    return j
+def gram_schmidt_rows(cluster: Cluster) -> tuple[tuple, tuple]:
+    """The exact rows k, W f_1 .. W f_n, W w over the basis, and the norms
+    d_1 .. d_n: dividing row i by sqrt(d_i) realizes the normalized Gram."""
+    k = cluster.curvature_seed
+    if k is None:
+        raise PreconditionError("float realization needs cluster curvature data")
+    j = next((i for i, x in enumerate(k) if x), None)
+    if j is None:
+        raise PreconditionError("float realization needs a nonzero seed curvature")
+    gram = cluster.system.normalized_gram
+    rank = len(gram)
 
+    def pair(x, y):
+        return exact.dot(x, exact.mat_vec(gram, y))
 
-def _reflect(j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n2 = w @ j @ w
-    return np.eye(len(w)) - 2.0 * np.outer(w, j @ w) / n2
-
-
-def numeric_realization(cluster: Cluster) -> np.ndarray:
-    """Columns = float sphere vectors realizing the cluster's working basis."""
-    if cluster.curvature_seed is None:
-        raise PreconditionError("numeric realization needs cluster curvature data")
-    w_exact = cluster.system.normalized_gram
-    rank = len(w_exact)
-    n = rank - 2
-    w = np.array([[float(x) for x in row] for row in w_exact])
-    jmat = _inversive_gram(n)
-
-    evals, evecs = np.linalg.eigh(w)
-    order = np.argsort(-evals)  # positives first, the single negative last
-    evals, evecs = evals[order], evecs[:, order]
-    if evals[-1] >= 0 or np.any(evals[:-1] <= 0):
+    u = exact.mat_vec(exact.inverse(gram), k)
+    h = gram[j][j] / (2 * k[j] ** 2)
+    w = tuple(Fraction(int(i == j), k[j]) - h * x for i, x in enumerate(u))
+    fs, norms = [], []
+    for e in exact.identity(rank):
+        s, t = pair(e, w), pair(e, u)
+        x = tuple(a - s * b - t * c for a, b, c in zip(e, u, w))
+        for f, d in zip(fs, norms):
+            r = pair(x, f) / d
+            x = tuple(a - r * b for a, b in zip(x, f))
+        d = pair(x, x)
+        if d:
+            fs.append(x)
+            norms.append(d)
+    if len(fs) != rank - 2 or any(d < 0 for d in norms):
         raise PreconditionError("cluster Gram is not of hyperbolic signature")
-    alpha = np.sqrt(np.abs(evals))[:, None] * evecs.T  # basis coords in a +..+- frame
-
-    frame = np.zeros((rank, rank))
-    for i in range(1, n + 1):
-        frame[i, i - 1] = 1.0  # e_1 .. e_n: the positive definite block
-    frame[0, n] = frame[n + 1, n] = 1.0 / np.sqrt(2.0)  # (e_0 + e_{n+1})/sqrt(2)
-    frame[0, n + 1] = 1.0 / np.sqrt(2.0)
-    frame[n + 1, n + 1] = -1.0 / np.sqrt(2.0)  # (e_0 - e_{n+1})/sqrt(2), norm -1
-    y = frame @ alpha  # columns realize the basis: y^T J y == W
-
-    k = np.array([float(x) for x in cluster.curvature_seed])
-    coeff = np.linalg.solve(w, k)
-    u = y @ coeff  # isotropic vector representing the curvature functional
-    target = np.zeros(rank)
-    target[n + 1] = 1.0
-    scale = max(1.0, float(np.abs(u).max()))
-    if abs(u[0]) > 1e-10 * scale:
-        # (u - target, u - target) = -2 (u, target) = -2 u[0] != 0
-        lorentz = _reflect(jmat, u - target)
-    else:
-        # isotropy forces u ~ c e_{n+1}; fix the scale with a boost
-        c = u[n + 1]
-        if abs(c) < 1e-10 * scale:
-            raise PreconditionError("degenerate curvature functional")
-        lorentz = np.eye(rank)
-        lorentz[0, 0] = c
-        lorentz[n + 1, n + 1] = 1.0 / c
-    x = lorentz @ y
-    if not np.allclose(x[0], k, rtol=1e-8, atol=1e-8):
-        raise PreconditionError("numeric realization failed to match the curvature row")
-    return x
+    rows = (k, *(exact.mat_vec(gram, f) for f in fs), exact.mat_vec(gram, w))
+    return rows, tuple(norms)
 
 
 def approximate_spheres(cluster: Cluster, columns) -> list[dict]:
-    """Float curvature/center/radius records for abstract orbit columns."""
-    x = numeric_realization(cluster)
+    """Float curvature/center/radius records for abstract orbit columns.
+
+    Curvature zero is tested exactly; such a column is a hyperplane, with
+    radius inf and no center.
+    """
+    rows, norms = gram_schmidt_rows(cluster)
+    (k, *middle), den = exact.cleared(rows[:-1])
+    scales = [1 / math.sqrt(d) for d in norms]
     out = []
     for col in columns:
-        v = x @ np.array([float(c) for c in col])
-        k = v[0]
-        if abs(k) < 1e-12:
-            norm = float(np.linalg.norm(v[1:-1]))
-            out.append(
-                {
-                    "curvature": 0.0,
-                    "normal": tuple(float(x) / norm for x in v[1:-1]),
-                    "offset": float(v[-1]) / norm,
-                    "radius": float("inf"),
-                }
-            )
+        r0 = sum(map(mul, k, col))
+        if r0 == 0:
+            out.append({"curvature": 0.0, "radius": math.inf})
         else:
+            center = tuple(
+                sum(map(mul, row, col)) / r0 * s + 0.0 for row, s in zip(middle, scales)
+            )
             out.append(
-                {
-                    "curvature": float(k),
-                    "center": tuple(float(t) / float(k) for t in v[1:-1]),
-                    "radius": 1.0 / abs(float(k)),
-                }
+                {"curvature": float(r0 / den), "center": center, "radius": float(den / abs(r0))}
             )
     return out

@@ -225,7 +225,9 @@ def builtin_model(name: str, a=None, b=None, c=None) -> SurfaceModel:
 
 
 def model_from_config(cfg: dict) -> SurfaceModel:
-    """Model from a JSON-style dict: gram, generators, H, C, optional alphas."""
+    """Model from a JSON-style dict: gram, generators, H, C, and optionally
+    alphas with their words, word i listing the generator indices whose
+    product is the reflection in alpha i."""
     if not isinstance(cfg, dict):
         raise ConfigError("model config must be a JSON object")
     try:
@@ -235,7 +237,12 @@ def model_from_config(cfg: dict) -> SurfaceModel:
         seed = vec(cfg["C"])
     except KeyError as e:
         raise ConfigError(f"model config is missing field {e}") from None
-    alphas = cfg.get("alphas")
+    alphas, words = cfg.get("alphas"), cfg.get("words")
+    if len(alphas or ()) != len(words or ()):
+        raise ConfigError("a model's alphas need one generator word each (the words field)")
+    bad = [i for w in words or () for i in w if not (isinstance(i, int) and 0 <= i < len(gens))]
+    if bad:
+        raise ConfigError(f"word index {bad[0]!r} is not a generator index 0..{len(gens) - 1}")
     return SurfaceModel(
         name=cfg.get("name", "custom"),
         space=QuadraticSpace(gram),
@@ -245,6 +252,7 @@ def model_from_config(cfg: dict) -> SurfaceModel:
         ample=ample,
         seed_class=seed,
         reflection_vectors=tuple(vec(a) for a in alphas) if alphas else None,
+        reflection_words=tuple(map(tuple, words)) if words else None,
     )
 
 

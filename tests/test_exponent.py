@@ -129,8 +129,12 @@ def test_power_sum_brackets_apollonian(deep_apollonian_orbit):
 
 
 def test_import_leaves_numpy_out():
-    # only packlab.realize needs numpy; the CLI imports it lazily
-    code = "import sys, packlab, packlab.cli; print('numpy' in sys.modules)"
+    # packlab needs no numpy, float sphere coordinates included
+    code = (
+        "import sys, packlab, packlab.cli, packlab.realize; "
+        "s = packlab.packing_seed('boyd'); packlab.realize.approximate_spheres(s, s.cols); "
+        "print('numpy' in sys.modules)"
+    )
     src = os.path.dirname(os.path.dirname(pl.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(

@@ -46,6 +46,16 @@ def test_box_without_bound_is_refused():
     assert (len(orb.spheres), outside) == (25, [])
 
 
+@pytest.mark.parametrize("mode", ["bounded", "depth_limited"])
+def test_bound_without_curvature_data_is_refused(mode):
+    # no curvatures, nothing to bound: the walk would keep every sphere
+    # under a recorded curvature bound that count() could not apply
+    bare = pl.initial_cluster(pl.polytope("apollonian2"))
+    with pytest.raises(PreconditionError, match="a curvature bound needs cluster curvature data"):
+        pl.enumerate_packing(bare, bound=5, mode=mode, max_depth=3)
+    assert len(pl.enumerate_packing(bare, mode="depth_limited", max_depth=3).spheres) == 56
+
+
 def test_pack_box_needs_bound(tmp_path, capsys):
     out = tmp_path / "s.csv"
     argv = ["pack", "--catalog", "apollonian2", "--max-depth", "3", "--box=-1,-1,1,3"]

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import deque
 from fractions import Fraction as F
 
@@ -255,6 +256,35 @@ def test_model_from_config_round_trip():
     assert orbit_count(copy, 1000).count == orbit_count(m, 1000).count
     with pytest.raises(ConfigError):
         model_from_config({"gram": [[0]]})
+
+
+def test_model_file_alphas_are_checked_against_their_words(tmp_path):
+    m = builtin_model("baragar_p2p2")
+    cfg = {
+        "gram": [[str(x) for x in row] for row in m.space.gram],
+        "generators": [[[str(x) for x in row] for row in a] for a in m.generators],
+        "H": ["1", "1", "1"],
+        "C": ["1", "0", "0"],
+        "alphas": [[str(x) for x in a] for a in m.reflection_vectors],
+        "words": [list(w) for w in m.reflection_words],
+    }
+    rep = verify_model(model_from_config(cfg))
+    assert rep.all_passed and len(rep.checks) == 6
+    path = tmp_path / "model.json"
+
+    def surface(config):
+        path.write_text(json.dumps(config))
+        return cli.main(["surface", "--model-file", str(path)])
+
+    assert surface(cfg) == 0
+    # the reflection in alpha 2 is the negation, not deck2: verification fails
+    assert surface({**cfg, "words": [[0, 1, 0], [1], [1]]}) == 3
+    # alphas without words were never checked: (1, 0, 0) has norm 0, yet
+    # such a model verified as all passed
+    bare = {k: v for k, v in cfg.items() if k != "words"}
+    assert surface({**bare, "alphas": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}) == 2
+    assert surface({**cfg, "words": [[0, 1, 0], [1]]}) == 2
+    assert surface({**cfg, "words": [[0, 1, 0], [1], [3]]}) == 2
 
 
 def test_non_involutive_generator_counts_alike():
