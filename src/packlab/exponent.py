@@ -134,11 +134,15 @@ def fit_exponent(curve: CountCurve, window_decades: float = 2.0) -> ExponentEsti
     """Least-squares slope of log N(t) versus log t.
 
     The window is the top ``window_decades`` decades of the grid and must
-    hold at least MIN_FIT_POINTS points.  Truncated curves are refused,
-    since missing spheres bias the slope; see TruncatedCurveError.
+    hold at least MIN_FIT_POINTS points; a window that is not positive
+    (NaN included) is refused, and ``inf`` fits the whole curve.
+    Truncated curves are refused, since missing spheres bias the slope;
+    see TruncatedCurveError.
     """
+    if not window_decades > 0:
+        raise PreconditionError(f"window_decades must be positive, got {window_decades}")
     hi = float(curve.ts[-1])
-    lo = hi / 10**window_decades
+    lo = hi * 10.0 ** -window_decades
     if curve.truncated:
         raise TruncatedCurveError(
             f"counting curve is truncated; refusing to fit over [{lo:.4g}, {hi:.4g}]"

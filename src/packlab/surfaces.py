@@ -380,11 +380,12 @@ def orbit_count(
     changes neither the work done nor the output.  Overrides of the seed
     class and of H must have the model's rank; an H outside the light cone
     (sign * (H, H) < 0, with the model's sign) is refused, and so is H = 0,
-    whose degrees are all 0 and prune nothing.  A nonzero isotropic H is
-    counted unless a parabolic element fixes it: when a generator or a
-    product of two keeps every degree and is a nontrivial unipotent (see
-    ``_degree_parabolics``), a counted class that it moves has infinitely
-    many images of the same degree, and the infinite count is refused.
+    whose degrees are all 0 and prune nothing; so is C = 0, which every
+    generator fixes.  A nonzero isotropic H is counted unless a parabolic
+    element fixes it: when a generator or a product of two keeps every
+    degree and is a nontrivial unipotent (see ``_degree_parabolics``), a
+    counted class that it moves has infinitely many images of the same
+    degree, and the infinite count is refused.
     """
     report = model.report
     if report.convention == "none":
@@ -394,6 +395,9 @@ def orbit_count(
     bound = rat(bound)
     if bound <= 0:
         raise PreconditionError("bound must be positive")
+    # the walk checks this too; here a bad slack is reported before a bad class
+    if rat(slack) < 1:
+        raise PreconditionError("slack must be >= 1")
     seed = _class_of_rank(
         model.seed_class if seed_class is None else seed_class, model.rank, "seed class C"
     )
@@ -405,6 +409,8 @@ def orbit_count(
         raise PreconditionError(f"distinguished class H lies outside the light cone: (H, H) = {h2}")
     if not any(h):
         raise PreconditionError("distinguished class H is zero: every degree is 0")
+    if not any(seed):
+        raise PreconditionError("seed class C is zero: no class of its orbit has positive degree")
     generators = model.generators
     if report.convention == "row":
         generators = [exact.transpose(a) for a in generators]

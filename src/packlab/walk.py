@@ -19,7 +19,10 @@ walk does not walk them again.  It builds each node once: the recheck
 continues the first walk instead of replaying it, and a generator with
 A A = I, which the walk detects itself, is never applied back to the node
 it made.  Every generator is linear, so a child's height is priced from
-its parent, as (row A) . v, and a pruned child is never built.
+its parent, as (row A) . v, and a pruned child is never built.  Once per
+walk, ``compile_generator`` turns each generator into two straight-line
+functions over a vector's coordinates: ``price`` runs for every child
+the walk tries, ``build`` only for one that passes the prune test.
 """
 
 from __future__ import annotations
@@ -78,14 +81,43 @@ def walk(
         yield level
 
 
-def image(moves, v) -> tuple:
-    """The child A v, from the ``moves`` of A: the pairs (j, column j of
-    A - I) where A differs from I.  ``bounded_walk`` builds every vector here."""
-    w = v
-    for j, d in moves:
-        t = v[j]
-        w = [x + c * t for x, c in zip(w, d)]
-    return tuple(w)
+def compile_generator(a: Sequence[Sequence], row: Sequence) -> tuple[Callable, Callable]:
+    """``price(v)``, the height |(row . A) . v| of the child A v, and
+    ``build(v)``, the child A v itself, for the square exact matrix A.
+
+    Each is one generated expression over the unpacked coordinates v0,
+    v1, ... of v.  Zero coefficients are dropped and +-1 become a bare
+    sign.  Only an entry of type exactly int, of at most 64 bits, is
+    written into the source, as a literal.  Every other entry (a Fraction,
+    an int subclass, a longer int, whose decimal text the interpreter may
+    refuse to make) is bound by name in the functions' namespace, so no
+    text that a caller's object makes enters the source.
+    """
+    names = {}
+
+    def linear(coefficients) -> str:
+        text = ""
+        for j, c in enumerate(coefficients):
+            if type(c) is not int or c.bit_length() > 64:
+                name = f"c{len(names)}"
+                names[name] = c
+                text += f" + {name}*v{j}"
+            elif c:
+                size = abs(c)
+                text += (" + " if c > 0 else " - ") + (f"v{j}" if size == 1 else f"{size}*v{j}")
+        if not text:
+            return "0"
+        return ("-" if text[1] == "-" else "") + text[3:]
+
+    unpack = "".join(f"v{j}, " for j in range(len(row))) + "= v"
+    height = linear(tight(sum(map(mul, row, col)) for col in zip(*a)))
+    child = "".join(linear(r) + ", " for r in a)
+    source = (
+        f"def price(v):\n    {unpack}\n    return abs({height})\n"
+        f"def build(v):\n    {unpack}\n    return ({child})\n"
+    )
+    exec(compile(source, "<walk generator>", "exec"), names)
+    return names["price"], names["build"]
 
 
 def bounded_walk(
@@ -98,7 +130,8 @@ def bounded_walk(
     from the left, its entries ints or Fractions as ``exact.tight`` gives
     them.  Once per call the walk reads each one's height row row . A,
     which prices a child |row . A v| from its parent, so only a child that
-    passes the prune test is built (by ``image``), and tests A A = I
+    passes the prune test is built; each generator's ``price`` and
+    ``build`` come from ``compile_generator``.  It also tests A A = I
     exactly: such a generator is not tried on a node it made, which would
     only give back the parent.  A node is ``(vector, |row . vector|, index
     of the generator that made it)``, -1 for a root.  A child beyond the
@@ -126,17 +159,13 @@ def bounded_walk(
     if rat(slack) < 1:
         raise PreconditionError("slack must be >= 1")
     limit, far = (tight(rat(bound) * rat(slack) * factor) for factor in (1, 2))
-    # per generator: the columns where A differs from I, which build a
-    # child; the height row p = row . A, which prices a child from its
-    # parent v as |p . v|; and whether A A = I
-    priced, one = [], identity(len(row))
-    for i, a in enumerate(generators):
-        cols = [tuple(x - int(r == j) for r, x in enumerate(col)) for j, col in enumerate(zip(*a))]
-        p = tight(sum(map(mul, row, col)) for col in zip(*a))
-        priced.append((i, [(j, d) for j, d in enumerate(cols) if any(d)], p, mat_mul(a, a) == one))
-    # the generators a node tries, by the index of the one that made it;
-    # roots (-1) try every generator
-    tries = [[t for t in priced if t[0] != i or not t[3]] for i in range(len(priced))]
+    priced = [(i, *compile_generator(a, row)) for i, a in enumerate(generators)]
+    # the generators a node tries, by the index of the one that made it: an
+    # involution is not tried again, and roots (-1) try every generator
+    one = identity(len(row))
+    tries = [
+        [t for t in priced if t[0] != i or mat_mul(a, a) != one] for i, a in enumerate(generators)
+    ]
     tries.append(priced)
 
     def expansion(cut, hold=None):
@@ -147,10 +176,10 @@ def bounded_walk(
         def expand(level):
             children, near, pruned = [], [], 0
             for v, _, last in level:
-                for i, moves, p, _ in tries[last]:
-                    h = abs(sum(map(mul, p, v)))
+                for i, price, build in tries[last]:
+                    h = price(v)
                     if h <= cut:
-                        children.append((image(moves, v), h, i))
+                        children.append((build(v), h, i))
                     else:
                         pruned += 1
                         if hold is not None and h <= far:
@@ -165,8 +194,8 @@ def bounded_walk(
         # a held child is built again when the recheck reaches its level, so
         # until then it costs a pair, not a vector
         for v, i in near:
-            _, moves, p, _ = priced[i]
-            yield image(moves, v), abs(sum(map(mul, p, v))), i
+            _, price, build = priced[i]
+            yield build(v), price(v), i
 
     stats, seen, held = {}, set(known), [] if check else None
     nodes = [(v, abs(sum(map(mul, row, v))), -1) for v in roots]

@@ -119,3 +119,48 @@ def test_mode_action_is_for_custom_grams_only(tmp_path, capsys):
         assert cli.main(argv + extra) == 0
         csvs.append(path.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+def _counts_csv(tmp_path):
+    counts = tmp_path / "counts.csv"
+    body = ["T,N"] + [f"{10 * 2 ** j},{int((10 * 2 ** j) ** 1.5)}" for j in range(14)]
+    counts.write_text("\n".join(body) + "\n")
+    return str(counts)
+
+
+def _fit_payload(capsys):
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+def test_wide_fit_window_fits_the_whole_curve(tmp_path, capsys):
+    # 10**400 is no float: the window's lower end is hi * 10.0**-400 = 0,
+    # the same whole-curve fit as an infinite window
+    counts = _counts_csv(tmp_path)
+    assert cli.main(["fit", "--counts", counts, "--window-decades", "inf"]) == 0
+    whole = _fit_payload(capsys)
+    assert cli.main(["fit", "--counts", counts, "--window-decades", "400"]) == 0
+    assert _fit_payload(capsys) == whole
+    assert (whole["window"][0], whole["points"]) == (0.0, 14)
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--fit", "--T", "1e4"]
+    assert cli.main(argv + ["--window-decades", "400"]) == 0
+    assert "window [0, 1e+04]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", ["nan", "0", "-1"])
+def test_nonpositive_fit_window_is_refused(tmp_path, capsys, window):
+    # such a window leaves nothing to fit: its lower end is not below its upper end
+    assert cli.main(["fit", "--counts", _counts_csv(tmp_path), "--window-decades", window]) == 3
+    assert "window_decades must be positive" in capsys.readouterr().err
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--fit", "--T", "1e4"]
+    assert cli.main(argv + ["--window-decades", window]) == 3
+    assert "window_decades must be positive" in capsys.readouterr().err
+
+
+def test_zero_seed_class_is_refused(capsys):
+    # every generator fixes C = 0: its orbit is one class, of degree 0
+    model = pl.builtin_model("baragar_p2p2")
+    with pytest.raises(PreconditionError, match="seed class C is zero"):
+        pl.orbit_count(model, 1000, seed_class=(0, 0, 0))
+    argv = ["surface", "--model", "baragar_p2p2", "--count", "--T", "1e3", "--C", "0,0,0"]
+    assert cli.main(argv) == 3
+    assert "seed class C is zero" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from packlab import catalog, surfaces, walk as walk_module
+from packlab import catalog, exact, surfaces, walk as walk_module
 from packlab.errors import PreconditionError
 from packlab.orbit import enumerate_packing
 from packlab.walk import bounded_walk, walk
@@ -233,14 +233,20 @@ def test_generator_order_leaves_degrees_alike(order, bound):
 
 
 def _counted(monkeypatch):
-    """Every vector the walk builds, appended as ``walk.image`` builds it."""
-    built, image = [], walk_module.image
+    """Every vector the walk builds, appended as a generator's compiled
+    ``build`` builds it."""
+    built, compile_generator = [], walk_module.compile_generator
 
-    def counted(moves, v):
-        built.append(image(moves, v))
-        return built[-1]
+    def counted_compile(a, row):
+        price, build = compile_generator(a, row)
 
-    monkeypatch.setattr(walk_module, "image", counted)
+        def counted(v):
+            built.append(build(v))
+            return built[-1]
+
+        return price, counted
+
+    monkeypatch.setattr(walk_module, "compile_generator", counted_compile)
     return built
 
 
@@ -288,6 +294,65 @@ def test_recheck_builds_only_held_and_kept_children(monkeypatch):
     assert sorted(n for n, _ in rechecked) == [7, 8, 8, 9, 10, 10, 11, 12, 12]
 
 
+_ENTRY = (
+    st.sampled_from([0, 1, -1])
+    | st.integers(-1000, 1000)
+    | st.integers(2**64, 2**100).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.fractions(max_denominator=12)
+)
+
+
+@st.composite
+def _kernel_case(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
+    row = draw(st.just([0] * n) | st.lists(_ENTRY, min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(-2**70, 2**70) | st.fractions(), min_size=n, max_size=n))
+    return a, row, tuple(v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_compiled_generator_is_the_matrix(case):
+    a, row, v = case
+    price, build = walk_module.compile_generator(a, row)
+    child = exact.mat_vec(a, v)
+    assert build(v) == child
+    assert price(v) == abs(sum(map(mul, row, child)))
+
+
+class Opaque(int):
+    """An int whose text is never to be asked for: each of its text methods
+    records the call and raises.  Its absolute value is an Opaque too."""
+
+    calls = []
+
+    def __abs__(self):
+        return Opaque(abs(int(self)))
+
+    def __repr__(self):
+        Opaque.calls.append("repr")
+        raise AssertionError("repr of a matrix entry")
+
+    def __str__(self):
+        Opaque.calls.append("str")
+        raise AssertionError("str of a matrix entry")
+
+    def __format__(self, spec):
+        Opaque.calls.append("format")
+        raise AssertionError("format of a matrix entry")
+
+
+def test_compiled_generator_never_prints_an_entry():
+    Opaque.calls.clear()
+    a = ((Opaque(3), 1, 0), (0, Opaque(-1), 2), (Opaque(1), 0, 1))
+    v = (5, -7, 2**80)
+    price, build = walk_module.compile_generator(a, (1, Opaque(2), 0))
+    assert build(v) == exact.mat_vec(a, v) == (8, 7 + 2**81, 5 + 2**80)
+    assert price(v) == abs(8 + 2 * (7 + 2**81))
+    assert Opaque.calls == []
+
+
 def _work(stats):
     return tuple(stats[k] for k in ("expanded", "pruned", "max_frontier", "recheck_expanded"))
 
@@ -299,3 +364,9 @@ def test_work_counters_are_pinned():
     assert (len(count.degrees), _work(count.stats)) == (367, (6487, 3612, 353, 9528))
     packing = enumerate_packing(catalog.packing_seed("apollonian2"), bound=3000)
     assert (len(packing.spheres), _work(packing.stats)) == (691, (2077, 1378, 192, 3036))
+    # at the benchmark's size, and on the box path, whose height row has
+    # large integers and is not the curvature
+    count = surfaces.orbit_count(surfaces.builtin_model("baragar_p2p2"), 10**7)
+    assert (len(count.degrees), _work(count.stats)) == (4540, (22339, 11169, 672, 12664))
+    box = enumerate_packing(catalog.band_seed(), bound=300, box=((-3, -1), (3, 3)))
+    assert (len(box.spheres), _work(box.stats)) == (1521, (59023, 39342, 4190, 86754))
