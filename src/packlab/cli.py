@@ -95,6 +95,8 @@ def _spheres_csv(result: orbit.PackingOrbit) -> str:
 
 def cmd_pack(args) -> int:
     seed = _seed_from_args(args)
+    if args.svg and seed.realization is None:
+        raise PreconditionError("SVG output needs a seed with exact geometry")
     box = None
     if args.box:
         vals = _parse_rationals(args.box)
@@ -120,8 +122,6 @@ def cmd_pack(args) -> int:
             fh.write(curve.to_csv())
         print(f"counting curve -> {args.counts}")
     if args.svg:
-        if seed.realization is None:
-            raise PreconditionError("SVG output needs a seed with exact geometry")
         doc = render_svg(result.euclidean_spheres(), labels=args.labels)
         with open(args.svg, "w") as fh:
             fh.write(doc)

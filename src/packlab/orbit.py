@@ -324,11 +324,13 @@ def iter_clusters(
     """Breadth-first reduced-word walk over distinct clusters, seed first."""
     gens = seed.system.reflections
 
-    def expand(level):
+    def expand(level, seen, _):
         children = [
             (_apply(c, a, q), i) for c, last in level for i, (a, q) in enumerate(gens) if i != last
         ]
-        return children, 0
+        # keep each cluster new to seen, adding it there (add returns None)
+        fresh = [child for child in children if child[0] not in seen and not seen.add(child[0])]
+        return fresh, len(children), 0
 
     levels = walk([(seed.cols, -1)], expand, set(), max_depth=max_depth)
     clusters = (replace(seed, cols=cols) for level in levels for cols, _ in level)

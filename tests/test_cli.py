@@ -111,6 +111,15 @@ def test_pack_boyd_approximate_centers(tmp_path):
     assert "curvature" in out.read_text()
 
 
+def test_pack_svg_without_geometry_is_refused_before_the_walk(tmp_path, capsys):
+    # boyd has only float geometry: the refusal comes before any file is written
+    out, counts, svg = (tmp_path / name for name in ("b.csv", "c.csv", "b.svg"))
+    argv = ["pack", "--catalog", "boyd", "--T", "300", "--out", str(out), "--counts", str(counts)]
+    assert run(argv + ["--svg", str(svg)]) == 3
+    assert "exact geometry" in capsys.readouterr().err
+    assert not out.exists() and not counts.exists() and not svg.exists()
+
+
 def test_pack_depth_limited_needs_max_depth(tmp_path, capsys):
     out = tmp_path / "spheres.csv"
     argv = ["pack", "--catalog", "apollonian2", "--mode", "depth_limited", "--T", "100"]

@@ -12,11 +12,22 @@ from packlab.orbit import enumerate_packing
 from packlab.walk import bounded_walk, walk
 
 
-def _expand(level):
+def _unseen(children, seen):
+    """The children whose key is not in ``seen``, in order; each kept key
+    is added to it."""
+    fresh = []
+    for child in children:
+        if child[0] not in seen:
+            seen.add(child[0])
+            fresh.append(child)
+    return fresh
+
+
+def _expand(level, seen, held):
     # children n + 1 and 2n of every node; those above 6 are pruned
     children = [(c,) for (n,) in level for c in (n + 1, 2 * n)]
     kept = [c for c in children if c[0] <= 6]
-    return kept, len(children) - len(kept)
+    return _unseen(kept + list(held), seen), len(children), len(children) - len(kept)
 
 
 def test_walk_levels_dedup_and_counters():
@@ -148,10 +159,10 @@ def _fresh_walk(roots, generators, limit, max_depth):
     """Oracle: one walk from the roots at ``limit`` that tries every generator
     on every node, each a row-by-row matrix product.  Returns each reached
     vector's level, and the counters."""
-    def expand(level):
+    def expand(level, seen, _):
         children = [(tuple(sum(map(mul, r, v)) for r in a),) for v, in level for a in generators]
         kept = [c for c in children if abs(c[0][0]) <= limit]
-        return kept, len(children) - len(kept)
+        return _unseen(kept, seen), len(children), len(children) - len(kept)
 
     level_of, stats = dict.fromkeys(roots, 0), {}
     levels = walk([(v,) for v in roots], expand, set(), stats, max_depth)
@@ -232,22 +243,43 @@ def test_generator_order_leaves_degrees_alike(order, bound):
     assert count(permuted, bound).degrees == count(model, bound).degrees
 
 
-def _counted(monkeypatch):
-    """Every vector the walk builds, appended as a generator's compiled
-    ``build`` builds it."""
-    built, compile_generator = [], walk_module.compile_generator
+class Built:
+    """The vectors a walk builds, read from the products its counted
+    matrix entries take: a build of A v multiplies every entry of A by a
+    coordinate of v, row by row, and each row's products sum to one
+    coordinate of the child."""
 
-    def counted_compile(a, row):
-        price, build = compile_generator(a, row)
+    def __init__(self, size):
+        self.size, self.products = size, []
 
-        def counted(v):
-            built.append(build(v))
-            return built[-1]
+    def vectors(self):
+        n = self.size
+        rows = [sum(self.products[k:k + n]) for k in range(0, len(self.products), n)]
+        return [tuple(rows[k:k + n]) for k in range(0, len(rows), n)]
 
-        return price, counted
+    def __len__(self):
+        return len(self.vectors())
 
-    monkeypatch.setattr(walk_module, "compile_generator", counted_compile)
-    return built
+    def __getitem__(self, index):
+        return self.vectors()[index]
+
+
+def _counted(generators):
+    """The generators with every entry an int that records each product it
+    takes with a vector coordinate (an exact int), and the ``Built`` view
+    of those products.  Such entries are bound by name in the compiled
+    level, so every build multiplies each of them; a product of two
+    entries, as the walk's involution test makes, is not recorded."""
+    built = Built(len(generators[0]))
+
+    class Entry(int):
+        def __mul__(self, other):
+            product = int(self) * other
+            if type(other) is int:
+                built.products.append(product)
+            return product
+
+    return [tuple(tuple(map(Entry, r)) for r in a) for a in generators], built
 
 
 def _built_by_pass(built):
@@ -264,10 +296,9 @@ def _built_by_pass(built):
     return run, starts
 
 
-def test_pruned_children_are_never_built(monkeypatch):
-    built = _counted(monkeypatch)
+def test_pruned_children_are_never_built():
     specs = [("shift", 3), ("double", 0), ("reflect", 5), ("turn", 0)]
-    generators = [_generator(*spec) for spec in specs]
+    generators, built = _counted([_generator(*spec) for spec in specs])
     run, starts = _built_by_pass(built)
     roots = [(1, 1, 1), (-2, -1, 1)]
     _, stats, _ = bounded_walk(roots, generators, (1, 0, 0), 20, 1, run, check=False)
@@ -279,11 +310,11 @@ def test_pruned_children_are_never_built(monkeypatch):
     assert all(abs(n) <= 20 for n, _, _ in built)
 
 
-def test_recheck_builds_only_held_and_kept_children(monkeypatch):
-    built = _counted(monkeypatch)
+def test_recheck_builds_only_held_and_kept_children():
+    steps, built = _counted(STEPS)
     run, starts = _built_by_pass(built)
     # limits 6 then 12, as in test_recheck_takes_union_on_disagreement
-    _, stats, _ = bounded_walk([(1, 1)], STEPS, (1, 0), 3, 2, run)
+    _, stats, _ = bounded_walk([(1, 1)], steps, (1, 0), 3, 2, run)
     assert starts[0] == 0
     walked, rechecked = built[:starts[1]], built[starts[1]:]
     assert len(walked) == stats["expanded"] - stats["pruned"] == 8
@@ -303,22 +334,83 @@ _ENTRY = (
 
 
 @st.composite
-def _kernel_case(draw):
-    n = draw(st.integers(1, 6))
-    a = draw(st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
-    row = draw(st.just([0] * n) | st.lists(_ENTRY, min_size=n, max_size=n))
-    v = draw(st.lists(st.integers(-2**70, 2**70) | st.fractions(), min_size=n, max_size=n))
-    return a, row, tuple(v)
+def _involution(draw, n):
+    """A generalized permutation matrix of order 2: swapped pairs of
+    coordinates, scaled by r and 1/r, and fixed coordinates times +-1."""
+    order = draw(st.permutations(range(n)))
+    a = [[0] * n for _ in range(n)]
+    k = 0
+    while k < n:
+        if k + 1 < n and draw(st.booleans()):
+            i, j = order[k:k + 2]
+            r = draw(_ENTRY.filter(bool))
+            a[i][j], a[j][i] = r, exact.tight(1 / Fraction(r))
+            k += 2
+        else:
+            a[order[k]][order[k]] = draw(st.sampled_from([1, -1]))
+            k += 1
+    return tuple(map(tuple, a))
+
+
+_COORDINATE = st.integers(-2**70, 2**70) | st.integers(-3, 3) | st.fractions()
+
+
+def _reference_level(generators, row, level, seen, held, cut, far):
+    """One level of the walk, written plainly: every child built as A v and
+    priced from itself."""
+    out, near, generated, pruned = [], [], 0, 0
+    one = exact.identity(len(row))
+
+    def keep(child, h, i):
+        if child not in seen:
+            seen.add(child)
+            out.append((child, h, i))
+
+    for v, _, last in level:
+        for i, a in enumerate(generators):
+            if i == last and exact.mat_mul(a, a) == one:
+                continue
+            generated += 1
+            child = exact.mat_vec(a, v)
+            h = abs(sum(map(mul, row, child)))
+            if h <= cut:
+                keep(child, h, i)
+            else:
+                pruned += 1
+                if h <= far:
+                    near.append((v, i, h))
+    for v, i, h in held:
+        keep(exact.mat_vec(generators[i], v), h, i)
+    return out, generated, pruned, near
 
 
 @settings(max_examples=300, deadline=None)
-@given(_kernel_case())
-def test_compiled_generator_is_the_matrix(case):
-    a, row, v = case
-    price, build = walk_module.compile_generator(a, row)
-    child = exact.mat_vec(a, v)
-    assert build(v) == child
-    assert price(v) == abs(sum(map(mul, row, child)))
+@given(st.integers(1, 5), st.data())
+def test_compiled_generator_is_the_matrix(n, data):
+    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    generators = data.draw(st.lists(matrix | _involution(n), min_size=1, max_size=4))
+    row = data.draw(st.just([0] * n) | st.lists(_ENTRY, min_size=n, max_size=n))
+    vector = st.lists(_COORDINATE, min_size=n, max_size=n).map(tuple)
+    index = st.integers(0, len(generators) - 1)
+    last = st.integers(-1, len(generators) - 1)
+    level = data.draw(st.lists(st.tuples(vector, st.just(0), last)))
+    held = data.draw(st.lists(st.tuples(vector, index, st.integers(0, 50))))
+    # seen holds some of the children the level can make, and other vectors
+    children = [exact.mat_vec(a, v) for v, _, _ in level for a in generators]
+    children += [exact.mat_vec(generators[i], v) for v, i, _ in held]
+    seen = data.draw(st.sets(vector | st.sampled_from(children) if children else vector))
+    heights = [abs(sum(map(mul, row, c))) for c in children] or [0]
+    cut, far = (data.draw(st.sampled_from(heights) | st.fractions(0, 100)) for _ in range(2))
+
+    want_seen = set(seen)
+    want = _reference_level(generators, row, level, want_seen, held, cut, far)
+    expand = walk_module.compile_level(generators, row)
+    near = []
+    out, generated, pruned = expand(level, seen, held, cut, far, near)
+    assert (out, generated, pruned, near) == want
+    assert seen == want_seen
+    if generated < len(level) * len(generators):
+        event("an involution skipped")
 
 
 class Opaque(int):
@@ -347,9 +439,16 @@ def test_compiled_generator_never_prints_an_entry():
     Opaque.calls.clear()
     a = ((Opaque(3), 1, 0), (0, Opaque(-1), 2), (Opaque(1), 0, 1))
     v = (5, -7, 2**80)
-    price, build = walk_module.compile_generator(a, (1, Opaque(2), 0))
-    assert build(v) == exact.mat_vec(a, v) == (8, 7 + 2**81, 5 + 2**80)
-    assert price(v) == abs(8 + 2 * (7 + 2**81))
+    expand = walk_module.compile_level([a], (1, Opaque(2), 0))
+    child, h = exact.mat_vec(a, v), abs(8 + 2 * (7 + 2**81))
+    assert child == (8, 7 + 2**81, 5 + 2**80)
+    assert expand([(v, 0, -1)], set(), (), h, h, []) == ([(child, h, 0)], 1, 0)
+    # priced beyond the cut, the child is held; built from the held triple,
+    # it is the same child
+    near = []
+    assert expand([(v, 0, -1)], set(), (), h - 1, h, near) == ([], 1, 1)
+    assert near == [(v, 0, h)]
+    assert expand([], set(), near, 0, 0, []) == ([(child, h, 0)], 0, 0)
     assert Opaque.calls == []
 
 
@@ -370,3 +469,8 @@ def test_work_counters_are_pinned():
     assert (len(count.degrees), _work(count.stats)) == (4540, (22339, 11169, 672, 12664))
     box = enumerate_packing(catalog.band_seed(), bound=300, box=((-3, -1), (3, 3)))
     assert (len(box.spheres), _work(box.stats)) == (1521, (59023, 39342, 4190, 86754))
+    # at the benchmark's own sizes
+    count = surfaces.orbit_count(surfaces.builtin_model("baragar_222"), 10**4)
+    assert (len(count.degrees), _work(count.stats)) == (7149, (129031, 71678, 5019, 187290))
+    packing = enumerate_packing(catalog.packing_seed("apollonian2"), bound=30000)
+    assert (len(packing.spheres), _work(packing.stats)) == (13917, (41755, 27830, 3275, 61653))
