@@ -133,44 +133,40 @@ def congruent(b: Matrix, g: Matrix) -> Matrix:
     return mat_mul(transpose(b), mat_mul(g, b))
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction Gaussian elimination with partial pivoting."""
+def _gauss_jordan(a: Matrix) -> tuple[Fraction, Matrix | None]:
+    """Gauss-Jordan on [a | I] with the first nonzero pivot of each column:
+    (det a as the signed pivot product, the inverse), or (0, None) if singular."""
     n = len(a)
-    m = [[rat(x) for x in row] for row in a]
-    sign = 1
+    m = [[rat(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     d = Fraction(1)
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return Fraction(0), None
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
-            sign = -sign
+            d = -d
         p = m[k][k]
         d *= p
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return sign * d
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
-    n = len(a)
-    m = [[rat(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        m[k], m[piv] = m[piv], m[k]
-        p = m[k][k]
         m[k] = [x / p for x in m[k]]
         for i in range(n):
             if i != k and m[i][k] != 0:
                 f = m[i][k]
                 m[i] = [x - f * y for x, y in zip(m[i], m[k])]
-    return tuple(tuple(row[n:]) for row in m)
+    return d, tuple(tuple(row[n:]) for row in m)
+
+
+def det(a: Matrix) -> Fraction:
+    """Determinant, exact, by the Gauss-Jordan pass of ``inverse``."""
+    return _gauss_jordan(a)[0]
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
+    inv = _gauss_jordan(a)[1]
+    if inv is None:
+        raise SingularMatrixError("matrix is singular")
+    return inv
 
 
 def inertia(a: Matrix) -> tuple[int, int, int]:

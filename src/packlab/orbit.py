@@ -5,7 +5,8 @@ the rank-one update s = I + a q^T over the working basis.  It acts from
 the left on single sphere columns as its exact matrix
 (``OrbitSystem.left_generators``; every packing run: a packing's spheres
 are the orbits of the seed spheres), and from the right on clusters,
-C -> C + (C a) q^T (``iter_clusters``, which lists group elements).  The
+C -> C + (C a) q^T: on a cluster's concatenated columns that is the matrix
+s^T (x) I, which ``iter_clusters`` walks to list group elements.  The
 mode picks basis and walls:
 
 * ``weights`` mode: clusters are tuples of (normalized) dual weights of a
@@ -54,7 +55,7 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from operator import itemgetter, mul
 from typing import Iterator, Optional, Sequence
@@ -66,7 +67,7 @@ from .errors import (
 )
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_row, vector_from_sphere
-from .walk import bounded_walk, walk
+from .walk import bounded_walk, compile_level, walk
 
 Column = tuple  # exact coordinates, ints or Fractions (hash-compatible)
 
@@ -321,20 +322,21 @@ def iter_clusters(
     max_count: Optional[int] = None,
     max_depth: Optional[int] = None,
 ) -> Iterator[Cluster]:
-    """Breadth-first reduced-word walk over distinct clusters, seed first."""
-    gens = seed.system.reflections
-
-    def expand(level, seen, _):
-        children = [
-            (_apply(c, a, q), i) for c, last in level for i, (a, q) in enumerate(gens) if i != last
-        ]
-        # keep each cluster new to seen, adding it there (add returns None)
-        fresh = [child for child in children if child[0] not in seen and not seen.add(child[0])]
-        return fresh, len(children), 0
-
-    levels = walk([(seed.cols, -1)], expand, set(), max_depth=max_depth)
-    clusters = (replace(seed, cols=cols) for level in levels for cols, _ in level)
-    yield from islice(chain([seed], clusters), max_count)
+    """Breadth-first reduced-word walk over distinct clusters, seed first:
+    ``compile_level`` walks the concatenated columns with a zero height row."""
+    for name, cap in (("max_count", max_count), ("max_depth", max_depth)):
+        if cap is not None and cap < 0:
+            raise PreconditionError(f"{name} must be >= 0, got {cap}")
+    n, size = seed.rank, seed.rank**2
+    gens = [
+        tight([[int(r == c) + q[r // n] * a[c // n] if r % n == c % n else 0 for c in range(size)]
+               for r in range(size)])
+        for a, q in seed.system.reflections
+    ]
+    expand = partial(compile_level(gens, (0,) * size), cut=0, far=0, near=[])
+    levels = walk([(sum(seed.cols, ()), 0, -1)], expand, set(), max_depth=max_depth)
+    clusters = (replace(seed, cols=tuple(zip(*[iter(v)] * n))) for lv in levels for v, _, _ in lv)
+    return islice(chain([seed], clusters), max_count)
 
 
 @dataclass(frozen=True)
@@ -579,18 +581,16 @@ def certify_integral(orbit: PackingOrbit):
         if rat(c).denominator != 1:
             return False, None, c
     base = orbit.seed.system.normalized_gram
-    cols = orbit.spheres
-    lam = 1
-    if len(cols) == 1:
-        pairs = [(0, 0)]
-    else:
-        pairs = [(a, b) for a in range(len(cols)) for b in range(a, len(cols))]
-        if len(pairs) > CERTIFY_PAIRS:
-            step = len(pairs) // CERTIFY_PAIRS
-            pairs = pairs[::step]
-    for a, b in pairs:
-        p = exact.dot(vec(cols[a]), exact.mat_vec(base, vec(cols[b])))
-        lam = lam * p.denominator // math.gcd(lam, p.denominator)
+    cols, lam, first = orbit.spheres, 1, 0
+    n = len(cols)
+    # every step-th pair (a, b), b >= a, in order, none listed: step is rounded
+    # up, so at most CERTIFY_PAIRS pairs, and first counts the pairs before row a
+    step = -(-(n * (n + 1) // 2) // CERTIFY_PAIRS) or 1
+    for a in range(n):
+        for b in range(a + -first % step, n, step):
+            p = exact.dot(vec(cols[a]), exact.mat_vec(base, vec(cols[b])))
+            lam = lam * p.denominator // math.gcd(lam, p.denominator)
+        first += n - a
     return True, lam, None
 
 

@@ -1,17 +1,18 @@
 """The breadth-first orbit walk behind packings, surface counts and iter_clusters.
 
 A walk starts from a list of root nodes and expands one whole level at a
-time.  A node is a tuple whose first field is its dedup key: a sphere or
-class vector, or a cluster's columns.  ``expand(level, seen, held)``
-returns the next level, the children that pass its prune test less those
-whose key is already seen, and how many children it generated and pruned.
+time.  A node is a tuple whose first field is its dedup key: a sphere,
+class or cluster vector (a cluster's columns end to end).
+``expand(level, seen, held)`` returns the next level, the children that
+pass its prune test less those whose key is already seen, and how many
+children it generated and pruned.
 
 ``bounded_walk`` is the one vector-orbit walk: packings in both modes
 and surface counts all count the orbits of a few integer vectors under
 exact square matrices acting on columns from the left, cut off by the
 height ``|row . v|`` (a depth-limited packing's zero row cuts nothing).
-``iter_clusters``, which lists group elements as clusters, is the only
-other caller of ``walk``.  ``bounded_walk`` holds the pruning limit, the
+``iter_clusters`` lists group elements by ``walk`` and ``compile_level``,
+zero row, no recheck.  ``bounded_walk`` holds the pruning limit, the
 doubled-slack recheck and every work counter; a caller's ``run`` picks
 what it counts and enforces budgets.  Roots are always expanded, and
 ``known`` vectors (a resumed checkpoint's spheres) start out seen, so the

@@ -12,6 +12,7 @@ from packlab import catalog, exact
 from packlab.errors import CheckpointError, NormalizationError, PackingError, PreconditionError
 from packlab.inversive import EuclideanSphere, SphereVector, sphere_from_vector
 from packlab.orbit import (
+    CERTIFY_PAIRS,
     Cluster,
     OrbitSystem,
     apply_generator,
@@ -92,6 +93,39 @@ def test_iter_clusters_max_depth():
         assert len(clusters) == 2 * 3**d - 1
         assert len({c.cols for c in clusters}) == len(clusters)
         assert clusters[0] is seed
+
+
+def test_iter_clusters_refuses_negative_caps():
+    seed = pl.packing_seed("apollonian2")
+    for name in ("max_depth", "max_count"):
+        with pytest.raises(PreconditionError, match=f"{name} must be >= 0, got -1"):
+            iter_clusters(seed, **{name: -1})
+
+
+def _reference_clusters(seed, depth):
+    # plain breadth-first walk by apply_generator: every wall but the one
+    # that made the node, each cluster kept once, in the order first made
+    out, seen, level = [seed], {seed.cols}, [(seed, -1)]
+    for _ in range(depth):
+        children = [
+            (apply_generator(c, i), i) for c, last in level for i in range(c.rank) if i != last
+        ]
+        level = [(c, i) for c, i in children if c.cols not in seen and not seen.add(c.cols)]
+        out += [c for c, _ in level]
+    return out
+
+
+@pytest.mark.parametrize("name", ["apollonian2", "apollonian3", "boyd", "ideal-triangle", "band"])
+def test_iter_clusters_matches_apply_generator_walk(name):
+    seed = catalog.band_seed() if name == "band" else pl.packing_seed(name)
+    want = _reference_clusters(seed, 5)
+    got = list(iter_clusters(seed, max_depth=5))
+    assert got == want
+    # the same entries, int or Fraction alike, in the same order
+    assert [[type(x) for col in c.cols for x in col] for c in got] == [
+        [type(x) for col in c.cols for x in col] for c in want
+    ]
+    assert list(iter_clusters(seed, max_count=50)) == want[:50]
 
 
 def test_mirror_orbit_invariant():
@@ -458,6 +492,34 @@ def test_mirror_certify_integral():
     orb = enumerate_packing(seed, bound=40, mode="depth_limited", max_depth=7)
     integral, exponent, witness = certify_integral(orb)
     assert integral and exponent == 1
+
+
+def _checked_pairs(orb, monkeypatch):
+    # the (a, b) sphere index pairs certify_integral checks, in order: it
+    # reads vec(cols[a]), then vec(cols[b]), for each pair
+    index = {col: i for i, col in enumerate(orb.spheres)}
+    read = []
+    monkeypatch.setattr("packlab.orbit.vec", lambda col: read.append(index[col]) or exact.vec(col))
+    assert certify_integral(orb) == (True, 1, None)
+    return list(zip(read[::2], read[1::2]))
+
+
+def test_certify_integral_checks_at_most_certify_pairs(apollonian_seed, monkeypatch):
+    # every step-th pair (a, b), b >= a, with step rounded up
+    def want(n, cap):
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        return pairs[:: -(-len(pairs) // cap)]
+
+    orb = enumerate_packing(apollonian_seed, bound=3000)  # 691 spheres, 239086 pairs
+    checked = _checked_pairs(orb, monkeypatch)
+    assert len(checked) <= CERTIFY_PAIRS
+    assert checked == want(691, CERTIFY_PAIRS)
+    small = enumerate_packing(apollonian_seed, bound=100)  # 10 spheres, 55 pairs
+    for cap in (1, 2, 7, 10, 27, 54, 55, 1000):
+        monkeypatch.setattr("packlab.orbit.CERTIFY_PAIRS", cap)
+        checked = _checked_pairs(small, monkeypatch)
+        assert 0 < len(checked) <= cap
+        assert checked == want(10, cap)
 
 
 def test_mirror_bounded_detects_cusps():
