@@ -5,8 +5,9 @@ normalization: consecutive circles touch, opposite ones sit at inversive
 distance 2.  The polytope is of level 2, so the weight orbit is a genuine
 sphere packing; with the integer seed (-1, 2, 4, 3) it is an integral one.
 No rational sphere-vector realization exists here (the Gram matrix is not
-rationally congruent to the inversive form), so circle centers for the
-picture come from the floating-point realization.
+rationally congruent to the inversive form), yet the geometry is exact:
+the second coordinate axis carries sqrt(3), so every center is a rational
+x and a rational multiple of sqrt(3) for y.
 """
 
 from packlab import (
@@ -18,7 +19,7 @@ from packlab import (
     maxwell_level,
     packing_seed,
 )
-from packlab.realize import approximate_spheres
+from packlab.inversive import coordinate_text
 
 gram = [[1, -1, 0, -1], [-1, 1, -1, 0], [0, -1, 1, -1], [-1, 0, -1, 1]]
 p = build_polytope(gram)
@@ -42,7 +43,7 @@ integral, exponent, _ = certify_integral(orbit)
 print(f"integral: {integral}, exponent {exponent}")
 print("smallest curvatures:", orbit.positive_curvatures()[:12])
 
-print("\napproximate seed geometry (floats, rendering only):")
-for rec in approximate_spheres(seed, seed.cols):
-    print("  ", {k: (round(v, 4) if isinstance(v, float) else v) for k, v in rec.items()
-                 if k != "center"} | {"center": tuple(round(c, 4) for c in rec.get("center", ()))})
+print(f"\nexact seed geometry, axes scaled by the square roots of {seed.squares}:")
+for s in seed.euclidean_spheres():
+    center = ", ".join(coordinate_text(s.center, s.squares))
+    print(f"   curvature {s.curvature}, center ({center}), radius {s.radius}")

@@ -9,9 +9,9 @@ Exit codes: 0 success, 2 configuration error, 3 mathematical
 precondition failure, 4 truncation refusal.
 
 All rationals on the command line and in JSON configs are exact strings
-("-13/2"); CSV output keeps curvatures exact and renders centers/radii as
-decimal floats only, each the correctly rounded int/int quotient of its
-exact value.
+("-13/2"); CSV output keeps curvatures and lines exact (an irrational
+normal coordinate as "q*sqrt(s)") and renders centers/radii as decimal
+floats only, by ``inversive.center_radius``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from . import catalog, exponent, lattices, orbit, surfaces
 from .coxeter import build_polytope, dual_polytope
 from .errors import ConfigError, PacklabError, PreconditionError, TruncatedCurveError
 from .exact import mat, rat, vec
-from .inversive import EuclideanSphere, center_radius, render_svg
-from .realize import approximate_spheres
+from .inversive import EuclideanSphere, center_radius, coordinate_text, render_svg
 
 
 def _parse_rationals(text: str):
@@ -71,32 +70,21 @@ def _seed_from_args(args) -> orbit.Cluster:
 
 def _spheres_csv(result: orbit.PackingOrbit) -> str:
     lines = ["curvature,center,radius"]
-    seed = result.seed
-    if seed.realization is not None:
-        for s in result.euclidean_spheres():
-            if s.kind == "hyperplane":
-                normal = " ".join(str(x) for x in s.normal)
-                lines.append(f"0,line normal ({normal}) offset {s.offset},inf")
-            else:
-                center, r = center_radius(s)
-                c = " ".join(f"{x:.12g}" for x in center)
-                lines.append(f"{s.curvature},{c},{r:.12g}")
-    else:
-        for rec, k in zip(
-            approximate_spheres(seed, result.spheres), result.curvatures
-        ):
-            if rec["radius"] == float("inf"):
-                lines.append(f"{k},approx line,inf")
-            else:
-                c = " ".join(f"{x:.12g}" for x in rec["center"])
-                lines.append(f"{k},{c},{rec['radius']:.12g}")
+    for s in result.euclidean_spheres():
+        if s.kind == "hyperplane":
+            normal = " ".join(coordinate_text(s.normal, s.squares))
+            lines.append(f"0,line normal ({normal}) offset {s.offset},inf")
+        else:
+            center, r = center_radius(s)
+            c = " ".join(f"{x:.12g}" for x in center)
+            lines.append(f"{s.curvature},{c},{r:.12g}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_pack(args) -> int:
     seed = _seed_from_args(args)
-    if args.svg and seed.realization is None:
-        raise PreconditionError("SVG output needs a seed with exact geometry")
+    if args.svg and seed.system.polytope.n != 2:
+        raise PreconditionError("SVG output draws planar circle packings only (n = 2)")
     box = None
     if args.box:
         vals = _parse_rationals(args.box)

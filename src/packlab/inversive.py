@@ -76,8 +76,9 @@ class EuclideanSphere:
 
     Sphere case: nonzero curvature, center, radius = 1/|curvature|.
     Hyperplane case: curvature 0, nonzero normal and an offset; the pair
-    (normal, offset) is stored unreduced, equality compares the
-    projectivized data.
+    (normal, offset) is stored unreduced, and ``same_locus`` compares the
+    projectivized data.  Coordinate i of center or normal is the stored
+    Fraction times sqrt(squares[i]); squares is () if every axis is rational.
     """
 
     kind: str  # "sphere" | "hyperplane"
@@ -85,6 +86,7 @@ class EuclideanSphere:
     center: Vector = ()
     normal: Vector = ()
     offset: Fraction = Fraction(0)
+    squares: tuple[int, ...] = ()
 
     def __post_init__(self):
         # fields that are already exact (Fractions, tuples of them) are kept as
@@ -123,7 +125,7 @@ class EuclideanSphere:
 
     def same_locus(self, other: "EuclideanSphere") -> bool:
         """Equality as unoriented loci (hyperplanes compared projectively)."""
-        if self.kind != other.kind:
+        if self.kind != other.kind or self.squares != other.squares:
             return False
         if self.kind == "sphere":
             return self.center == other.center and abs(self.curvature) == abs(other.curvature)
@@ -144,15 +146,17 @@ def sphere_from_vector(v: SphereVector | Sequence) -> EuclideanSphere:
     return sphere_from_row(r, d)
 
 
-def sphere_from_row(r: Sequence, d: int) -> EuclideanSphere:
-    """Euclidean sphere/hyperplane of the norm-checked vector r / d, d > 0:
-    curvature r_0 / d and center r_i / r_0, or a hyperplane's normal r_i / d
-    and offset r_{n+1} / d, all exact Fractions."""
+def sphere_from_row(r: Sequence, d: int, squares: tuple = ()) -> EuclideanSphere:
+    """Euclidean sphere/hyperplane of the norm-checked vector r / d, d > 0,
+    whose coordinate i is scaled by sqrt(squares[i]): curvature r_0 / d and
+    center r_i / r_0, or a hyperplane's normal r_i / d and offset
+    r_{n+1} / d, all exact Fractions (the roots stay in ``squares``)."""
     if r[0] == 0:
         normal = tuple([Fraction(x, d) for x in r[1:-1]])
-        return EuclideanSphere(kind="hyperplane", normal=normal, offset=Fraction(r[-1], d))
+        offset = Fraction(r[-1], d)
+        return EuclideanSphere("hyperplane", normal=normal, offset=offset, squares=squares)
     center = tuple([Fraction(x, r[0]) for x in r[1:-1]])
-    return EuclideanSphere(kind="sphere", curvature=Fraction(r[0], d), center=center)
+    return EuclideanSphere("sphere", curvature=Fraction(r[0], d), center=center, squares=squares)
 
 
 def vector_from_sphere(s: EuclideanSphere) -> SphereVector:
@@ -160,7 +164,10 @@ def vector_from_sphere(s: EuclideanSphere) -> SphereVector:
 
     For hyperplanes the stored normal is rescaled to unit norm, which is
     only possible exactly when its squared length is a rational square.
+    A sphere with an irrational axis is refused.
     """
+    if s.squares:
+        raise NormalizationError(f"sphere has irrational axes {s.squares}: no rational vector")
     if s.kind == "sphere":
         k = s.curvature
         mid = tuple(k * c for c in s.center)
@@ -176,12 +183,27 @@ def vector_from_sphere(s: EuclideanSphere) -> SphereVector:
     return SphereVector((Fraction(0),) + tuple(x / root for x in s.normal) + (s.offset / root,))
 
 
+def _floats(v: Vector, squares: tuple) -> list[float]:
+    """Float coordinates: each Fraction as its correctly rounded int/int
+    quotient, the same float as float(Fraction), times sqrt(squares[i])."""
+    if not squares:
+        return [x.numerator / x.denominator for x in v]
+    return [x.numerator / x.denominator * math.sqrt(q) for x, q in zip(v, squares)]
+
+
+def coordinate_text(v: Vector, squares: tuple) -> list[str]:
+    """Exact text of each coordinate: the Fraction, or "q*sqrt(s)" where a
+    nonzero q sits on an axis scaled by sqrt(s), s != 1."""
+    roots = squares or (1,) * len(v)
+    return [f"{x}*sqrt({q})" if x and q != 1 else str(x) for x, q in zip(v, roots)]
+
+
 def center_radius(s: EuclideanSphere) -> tuple[list[float], float]:
-    """Float center and radius of a sphere, each the correctly rounded
-    int/int quotient of its exact value: c.numerator / c.denominator and
-    k.denominator / |k.numerator|, the same floats as float(Fraction)."""
+    """Float center and radius of a sphere.  The radius is the correctly
+    rounded k.denominator / |k.numerator|; so is each center coordinate on a
+    rational axis, and an irrational one is that quotient times its root."""
     k = s.curvature
-    return [c.numerator / c.denominator for c in s.center], k.denominator / abs(k.numerator)
+    return _floats(s.center, s.squares), k.denominator / abs(k.numerator)
 
 
 def classify_pair(v: SphereVector, w: SphereVector) -> str:
@@ -239,8 +261,7 @@ def render_svg(
     default it is the bounding box of the most negative-curvature circle if
     one is present, else of all centers +- radii.  Curvature labels are
     emitted only for integer curvatures, after every circle and line.
-    Centers and radii are printed as correctly rounded int/int quotients of
-    their exact values (``center_radius``).
+    Centers and radii are the floats of ``center_radius``.
     """
     spheres = list(spheres)
     for s in spheres:
@@ -272,7 +293,7 @@ def render_svg(
                     f'fill="black">{s.curvature.numerator}</text>'
                 )
         else:
-            a1, a2 = (float(x) for x in s.normal)
+            a1, a2 = _floats(s.normal, s.squares)
             d = float(s.offset)
             norm2 = a1 * a1 + a2 * a2
             px, py = -d * a1 / norm2, -d * a2 / norm2  # foot of the perpendicular

@@ -26,10 +26,13 @@ node.  Curvatures are values of a linear functional fixed by the seed, so
 deduplication is exact coordinate equality.
 
 Exact geometry is one integer map, ``Cluster.sphere_row``: a seed's
-realization is integer rows over one common denominator d, and a column's
-inversive coordinates are the numerators rows . col over d, norm-checked
-in integers.  Output spheres, sphere vectors and box membership all read
-it; a curvature is r_0 / d and a center r_i / r_0, as exact Fractions.
+realization is integer rows over one common denominator d and one
+square-free s_i per Euclidean axis (``with_curvatures`` builds it by an
+exact Gram-Schmidt unless the seed's rational geometry is given), and a
+column's inversive coordinate i is r_i sqrt(s_i) / d, r = rows . col,
+norm-checked in integers.  Nothing multiplies the roots of two axes: a
+curvature is r_0 / d and center i is (r_i / r_0) sqrt(s_i).  Output
+spheres read it; sphere vectors and box membership need every s_i = 1.
 
 Both packing modes are the vector-orbit walk ``walk.bounded_walk``, which
 surface counts also use: the seed spheres are its roots and are always
@@ -152,6 +155,7 @@ class Cluster:
     # exact geometry: integer rows, one per inversive coordinate over the
     # basis, and their common denominator
     realization: Optional[tuple[tuple[Column, ...], int]] = None
+    squares: tuple[int, ...] = ()  # axis i scaled by sqrt(s_i); () if all are rational
 
     @property
     def rank(self) -> int:
@@ -182,14 +186,15 @@ class Cluster:
         return dot(k, [dot(row, k) for row in self.system.soddy_gram])
 
     def sphere_row(self, col: Column) -> tuple:
-        """The column's inversive coordinates as numerators r = rows . col
-        over the realization's denominator d, norm-checked in integers:
-        2 r_0 r_{n+1} + r_1^2 + ... + r_n^2 = d^2."""
+        """The column's inversive coordinates as numerators r = rows . col,
+        coordinate i being r_i sqrt(s_i) / d, norm-checked in integers:
+        2 r_0 r_{n+1} + s_1 r_1^2 + ... + s_n r_n^2 = d^2."""
         if self.realization is None:
             raise PreconditionError("cluster has no exact realization attached")
         rows, d = self.realization
         r = tuple([sum(map(mul, row, col)) for row in rows])
-        norm = 2 * r[0] * r[-1] + sum(x * x for x in r[1:-1])
+        squared = [x * x for x in r[1:-1]]
+        norm = 2 * r[0] * r[-1] + sum(map(mul, self.squares, squared) if self.squares else squared)
         if norm != d * d:
             raise NormalizationError(
                 f"(v, v) = {Fraction(norm, d * d)} != 1: not a normalized sphere vector"
@@ -197,12 +202,15 @@ class Cluster:
         return r
 
     def sphere_vector(self, col: Column) -> SphereVector:
-        """The column's exact inversive coordinates, sphere_row / d."""
+        """The column's exact inversive coordinates, sphere_row / d; refused
+        when an axis is irrational."""
+        if self.squares:
+            raise PreconditionError(f"sphere vectors need rational geometry (axes {self.squares})")
         return SphereVector(tuple(Fraction(x, self.realization[1]) for x in self.sphere_row(col)))
 
     def euclidean_sphere(self, col: Column) -> EuclideanSphere:
         """The column's exact sphere or hyperplane, built from sphere_row."""
-        return sphere_from_row(self.sphere_row(col), self.realization[1])
+        return sphere_from_row(self.sphere_row(col), self.realization[1], self.squares)
 
     def euclidean_spheres(self) -> list[EuclideanSphere]:
         return [self.euclidean_sphere(self.cols[j]) for j in self.system.sphere_slots]
@@ -235,7 +243,8 @@ def initial_cluster(polytope: CoxeterPolytope, mode: str = "weights") -> Cluster
 
 
 def with_curvatures(cluster: Cluster, curvatures: Sequence) -> Cluster:
-    """Attach the curvature functional given by a seed curvature vector.
+    """Attach the curvature functional given by a seed curvature vector,
+    and the exact realization ``_gram_schmidt`` builds for it.
 
     The vector must satisfy the packing's Soddy identity k^T W k = 0
     exactly (for the circulant tangent-cluster data this is Descartes's
@@ -251,15 +260,77 @@ def with_curvatures(cluster: Cluster, curvatures: Sequence) -> Cluster:
         raise PackingError(
             f"curvature vector violates the Soddy identity: residual {residual}"
         )
-    return replace(cluster, curvature_seed=k)
+    realization, squares = _gram_schmidt(cluster.system.normalized_gram, k)
+    return replace(cluster, curvature_seed=k, realization=realization, squares=squares)
+
+
+def _gram_schmidt(gram: Matrix, k: Column):
+    """The exact realization ((integer rows, d), squares) of the normalized
+    basis Gram W with seed curvatures k.  With ( , ) the pairing W defines:
+
+    * u = W^-1 k is isotropic by the Soddy identity, and (u, c) = k . c is
+      the curvature of a column c;
+    * for the first slot j with k_j != 0, w = e_j / k_j - (W_jj / 2 k_j^2) u
+      is isotropic with (u, w) = 1;
+    * the f_i are an exact Gram-Schmidt basis of the basis vectors projected
+      by x -> x - (x, w) u - (x, u) w, those of norm d_i <= 0 dropped.  The
+      complement of span(u, w) is positive definite, so rank - 2 remain.
+
+    Then W^-1 = u w^T + w u^T + sum f_i f_i^T / d_i, so the rows k,
+    W f_i / sqrt(d_i), W w realize W (X^T J X = W) with the seed's
+    curvatures, and seed sphere j sits at the origin.  Each f_i is scaled
+    as found to norm 1 / s_i, s_i the square-free part of d_i, so row i
+    is W f_i times sqrt(s_i).
+    """
+    j = next((i for i, x in enumerate(k) if x), None)
+    if j is None:
+        raise PreconditionError("a realization needs a nonzero seed curvature")
+
+    def pair(x, y):
+        return exact.dot(x, exact.mat_vec(gram, y))
+
+    u = exact.mat_vec(exact.inverse(gram), k)
+    h = gram[j][j] / (2 * k[j] ** 2)
+    w = tuple(Fraction(int(i == j), k[j]) - h * x for i, x in enumerate(u))
+    fs, squares = [], []
+    for e in exact.identity(len(gram)):
+        s, t = pair(e, w), pair(e, u)
+        x = tuple(a - s * b - t * c for a, b, c in zip(e, u, w))
+        for f, q in zip(fs, squares):
+            r = pair(x, f) * q
+            x = tuple(a - r * b for a, b in zip(x, f))
+        d = pair(x, x)
+        if d > 0:  # d = (m / d.denominator)^2 s
+            m, s = _square_free(d.numerator * d.denominator)
+            fs.append(tuple(a * Fraction(d.denominator, m * s) for a in x))
+            squares.append(s)
+    if len(fs) != len(gram) - 2:
+        raise PreconditionError("cluster Gram is not of hyperbolic signature")
+    rows = cleared([k, *(exact.mat_vec(gram, f) for f in fs), exact.mat_vec(gram, w)])
+    return rows, tuple(squares) if any(s != 1 for s in squares) else ()
+
+
+def _square_free(n: int) -> tuple[int, int]:
+    """(m, s) with n = m^2 s > 0 and s square-free: trial division by p while
+    p^3 <= what is left, whose rest then has at most two prime factors."""
+    m, s, p = 1, 1, 2
+    while p**3 <= n:
+        while n % (p * p) == 0:
+            n, m = n // (p * p), m * p
+        if n % p == 0:
+            n, s = n // p, s * p
+        p += 1
+    r = math.isqrt(n)
+    return (m * r, s) if r * r == n else (m, s * n)
 
 
 def with_realization(cluster: Cluster, spheres: Sequence[EuclideanSphere]) -> Cluster:
-    """Attach exact Euclidean geometry for the seed cluster.
+    """Attach exact rational Euclidean geometry for the seed cluster.
 
     ``spheres`` lists one oriented sphere per slot; their pairwise inner
     products must reproduce the normalized weight Gram exactly, otherwise
-    the offending pair is reported.
+    the offending pair is reported.  Their curvatures become the seed's and
+    satisfy the Soddy identity, since the Gram does.
     """
     slots = cluster.system.sphere_slots
     if len(spheres) != len(slots):
@@ -277,8 +348,9 @@ def with_realization(cluster: Cluster, spheres: Sequence[EuclideanSphere]) -> Cl
                     f"realization Gram mismatch at pair ({a}, {b}): "
                     f"inner product {got}, expected {want}"
                 )
-    out = with_curvatures(cluster, tuple(v.coords[0] for v in vectors))
-    return replace(out, realization=cleared(exact.transpose([v.coords for v in vectors])))
+    k = tight(v.coords[0] for v in vectors)
+    rows = cleared(exact.transpose([v.coords for v in vectors]))
+    return replace(cluster, curvature_seed=k, realization=rows, squares=())
 
 
 def seed_cluster_from_curvatures(
@@ -287,18 +359,19 @@ def seed_cluster_from_curvatures(
     realization: Optional[Sequence[EuclideanSphere]] = None,
     mode: str = "weights",
 ) -> Cluster:
-    """Seed cluster from a curvature vector and optional exact geometry."""
+    """Seed cluster from a curvature vector and optional exact rational
+    geometry, which must have these curvatures; without it,
+    ``with_curvatures`` realizes the seed."""
     c = initial_cluster(polytope, mode=mode)
-    c = with_curvatures(c, curvatures)
-    if realization is not None:
-        r = with_realization(c, realization)
-        if r.curvature_seed != c.curvature_seed:
-            raise PackingError(
-                f"realization curvatures {tuple(map(str, r.curvature_seed))} do not "
-                f"match the requested vector {tuple(map(str, c.curvature_seed))}"
-            )
-        c = r
-    return c
+    if realization is None:
+        return with_curvatures(c, curvatures)
+    r, k = with_realization(c, realization), tight(curvatures)
+    if r.curvature_seed != k:
+        raise PackingError(
+            f"realization curvatures {tuple(map(str, r.curvature_seed))} do not "
+            f"match the requested vector {tuple(map(str, k))}"
+        )
+    return r
 
 
 def apply_generator(cluster: Cluster, i: int) -> Cluster:
@@ -470,8 +543,8 @@ def enumerate_packing(
     if box is not None:
         if bound is None:
             raise PreconditionError("a counting box needs a curvature bound")
-        if seed.realization is None:
-            raise PackingError("box counting needs a seed with exact geometry")
+        if seed.squares:
+            raise PackingError("box counting needs rational geometry")
         box = (tuple(map(rat, box[0])), tuple(map(rat, box[1])))
         if not len(box[0]) == len(box[1]) == system.polytope.n:
             raise PreconditionError(
@@ -580,7 +653,7 @@ def certify_integral(orbit: PackingOrbit):
     for c in orbit.curvatures:
         if rat(c).denominator != 1:
             return False, None, c
-    base = orbit.seed.system.normalized_gram
+    rows, d = orbit.seed.system.scaled_gram
     cols, lam, first = orbit.spheres, 1, 0
     n = len(cols)
     # every step-th pair (a, b), b >= a, in order, none listed: step is rounded
@@ -588,10 +661,14 @@ def certify_integral(orbit: PackingOrbit):
     step = -(-(n * (n + 1) // 2) // CERTIFY_PAIRS) or 1
     for a in range(n):
         for b in range(a + -first % step, n, step):
-            p = exact.dot(vec(cols[a]), exact.mat_vec(base, vec(cols[b])))
-            lam = lam * p.denominator // math.gcd(lam, p.denominator)
+            lam = math.lcm(lam, _pairing(cols[a], cols[b], rows, d).denominator)
         first += n - a
     return True, lam, None
+
+
+def _pairing(x: Column, y: Column, rows, d) -> Fraction:
+    """(x, y) over the normalized basis Gram, ``scaled_gram``'s rows / d."""
+    return Fraction(sum(map(mul, x, [sum(map(mul, row, y)) for row in rows])), d)
 
 
 CHECKPOINT_MAGIC = "PACKLAB-CHECKPOINT v2"  # v1 files held cluster frontiers

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from fractions import Fraction as F
 
 import pytest
 
@@ -112,12 +113,49 @@ def test_pack_boyd_approximate_centers(tmp_path):
 
 
 def test_pack_svg_without_geometry_is_refused_before_the_walk(tmp_path, capsys):
-    # boyd has only float geometry: the refusal comes before any file is written
+    # apollonian3 packs spheres (n = 3): the refusal comes before any file is written
     out, counts, svg = (tmp_path / name for name in ("b.csv", "c.csv", "b.svg"))
-    argv = ["pack", "--catalog", "boyd", "--T", "300", "--out", str(out), "--counts", str(counts)]
-    assert run(argv + ["--svg", str(svg)]) == 3
-    assert "exact geometry" in capsys.readouterr().err
+    argv = ["pack", "--catalog", "apollonian3", "--T", "40", "--out", str(out)]
+    assert run(argv + ["--counts", str(counts), "--svg", str(svg)]) == 3
+    assert "n = 2" in capsys.readouterr().err
     assert not out.exists() and not counts.exists() and not svg.exists()
+
+
+def test_pack_boyd_svg_renders(tmp_path):
+    # boyd's realization carries sqrt(3) on one axis; its SVG draws every circle
+    out, svg = tmp_path / "boyd.csv", tmp_path / "boyd.svg"
+    assert run(["pack", "--catalog", "boyd", "--T", "50", "--out", str(out), "--svg", str(svg)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert svg.read_text().count("<circle ") == len(rows)
+
+
+def _line_normals(csv_text):
+    # (normal, offset) of each line row, a normal entry "q*sqrt(s)" read as (q, s)
+    lines = []
+    for row in csv_text.splitlines()[1:]:
+        m = re.fullmatch(r"0,line normal \((.*)\) offset (\S+),inf", row)
+        assert m or "line" not in row, row
+        if m:
+            entries = [x.split("*sqrt(") for x in m.group(1).split()]
+            normal = [(F(x[0]), int(x[1][:-1]) if len(x) > 1 else 1) for x in entries]
+            lines.append((normal, F(m.group(2))))
+    return lines
+
+
+def test_pack_lines_print_exact_normals(tmp_path):
+    # every line row is exact, also where the normal has an irrational entry:
+    # a hyperplane's normal has unit length, sum s_i q_i^2 = 1
+    out = tmp_path / "lines.csv"
+    assert run(["pack", "--catalog", "boyd", "--seed", "0,0,1,1", "--max-depth", "6",
+                "--out", str(out)]) == 0
+    assert _line_normals(out.read_text()) == [([(-1, 1), (0, 1)], -1), ([(1, 1), (0, 1)], -2)]
+    assert run(["pack", "--catalog", "boyd", "--seed", "-1,-1,0,0", "--max-depth", "2",
+                "--out", str(out)]) == 0
+    text = out.read_text()
+    lines = _line_normals(text)
+    assert "*sqrt(3)" in text and len(lines) >= 2
+    for normal, _ in lines:
+        assert sum(s * q * q for q, s in normal) == 1
 
 
 def test_pack_depth_limited_needs_max_depth(tmp_path, capsys):

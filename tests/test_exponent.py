@@ -129,10 +129,11 @@ def test_power_sum_brackets_apollonian(deep_apollonian_orbit):
 
 
 def test_import_leaves_numpy_out():
-    # packlab needs no numpy, float sphere coordinates included
+    # packlab needs no numpy, irrational sphere coordinates included
     code = (
-        "import sys, packlab, packlab.cli, packlab.realize; "
-        "s = packlab.packing_seed('boyd'); packlab.realize.approximate_spheres(s, s.cols); "
+        "import sys, packlab, packlab.cli; "
+        "orb = packlab.enumerate_packing(packlab.packing_seed('boyd'), bound=50); "
+        "packlab.cli._spheres_csv(orb); packlab.render_svg(orb.euclidean_spheres()); "
         "print('numpy' in sys.modules)"
     )
     src = os.path.dirname(os.path.dirname(pl.__file__))

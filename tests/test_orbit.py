@@ -15,6 +15,7 @@ from packlab.orbit import (
     CERTIFY_PAIRS,
     Cluster,
     OrbitSystem,
+    _pairing,
     apply_generator,
     certify_integral,
     enumerate_packing,
@@ -496,12 +497,17 @@ def test_mirror_certify_integral():
 
 def _checked_pairs(orb, monkeypatch):
     # the (a, b) sphere index pairs certify_integral checks, in order: it
-    # reads vec(cols[a]), then vec(cols[b]), for each pair
+    # pairs cols[a] with cols[b] through one _pairing call per pair
     index = {col: i for i, col in enumerate(orb.spheres)}
     read = []
-    monkeypatch.setattr("packlab.orbit.vec", lambda col: read.append(index[col]) or exact.vec(col))
+
+    def pairing(x, y, rows, d):
+        read.append((index[x], index[y]))
+        return _pairing(x, y, rows, d)
+
+    monkeypatch.setattr("packlab.orbit._pairing", pairing)
     assert certify_integral(orb) == (True, 1, None)
-    return list(zip(read[::2], read[1::2]))
+    return read
 
 
 def test_certify_integral_checks_at_most_certify_pairs(apollonian_seed, monkeypatch):

@@ -164,3 +164,29 @@ def test_zero_seed_class_is_refused(capsys):
     argv = ["surface", "--model", "baragar_p2p2", "--count", "--T", "1e3", "--C", "0,0,0"]
     assert cli.main(argv) == 3
     assert "seed class C is zero" in capsys.readouterr().err
+
+
+def test_irrational_geometry_is_refused_where_it_would_be_wrong():
+    # boyd's realization carries sqrt(3) on one axis: sphere vectors and box
+    # counts would need it as a Fraction, so both are refused
+    seed = pl.packing_seed("boyd")
+    assert seed.squares == (1, 3)
+    orb = pl.enumerate_packing(seed, bound=20)
+    with pytest.raises(PreconditionError, match="rational geometry"):
+        orb.sphere_vectors()
+    with pytest.raises(PreconditionError, match="irrational axes"):
+        pl.vector_from_sphere(orb.euclidean_spheres()[0])
+    with pytest.raises(PreconditionError, match="box counting needs rational geometry"):
+        pl.enumerate_packing(seed, bound=20, box=((-1, -1), (1, 1)))
+
+
+def test_given_geometry_skips_the_gram_schmidt(monkeypatch):
+    # a seed with rational geometry keeps it; only curvature-only seeds are realized
+    def fail(*args):
+        raise AssertionError("Gram-Schmidt run for a seed with given geometry")
+
+    monkeypatch.setattr(pl.orbit, "_gram_schmidt", fail)
+    for seed in (pl.packing_seed("apollonian2"), pl.band_seed()):
+        assert seed.squares == () and seed.realization is not None
+    with pytest.raises(AssertionError):
+        pl.packing_seed("boyd")

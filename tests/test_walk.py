@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 from fractions import Fraction
 from operator import mul
 
@@ -325,12 +326,22 @@ def test_recheck_builds_only_held_and_kept_children():
     assert sorted(n for n, _ in rechecked) == [7, 8, 8, 9, 10, 10, 11, 12, 12]
 
 
+@st.composite
+def _fractions(draw, top=None, max_denominator=None):
+    """``st.fractions(max_denominator=...)`` or ``st.fractions(0, top)``, drawn
+    the same way, a denominator and then a numerator, but without building
+    and validating a new strategy for each value."""
+    d = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers() if top is None else st.integers(0, top * d)), d)
+
+
 _ENTRY = (
     st.sampled_from([0, 1, -1])
     | st.integers(-1000, 1000)
-    | st.integers(2**64, 2**100).flatmap(lambda n: st.sampled_from([n, -n]))
-    | st.fractions(max_denominator=12)
+    | st.tuples(st.integers(2**64, 2**100), st.sampled_from([1, -1])).map(lambda t: t[0] * t[1])
+    | _fractions(max_denominator=12)
 )
+_NONZERO_ENTRY = _ENTRY.filter(bool)
 
 
 @st.composite
@@ -343,7 +354,7 @@ def _involution(draw, n):
     while k < n:
         if k + 1 < n and draw(st.booleans()):
             i, j = order[k:k + 2]
-            r = draw(_ENTRY.filter(bool))
+            r = draw(_NONZERO_ENTRY)
             a[i][j], a[j][i] = r, exact.tight(1 / Fraction(r))
             k += 2
         else:
@@ -352,7 +363,29 @@ def _involution(draw, n):
     return tuple(map(tuple, a))
 
 
-_COORDINATE = st.integers(-2**70, 2**70) | st.integers(-3, 3) | st.fractions()
+_COORDINATE = st.integers(-2**70, 2**70) | st.integers(-3, 3) | _fractions()
+_BOUND = _fractions(top=100)
+
+
+# Hypothesis validates each new strategy object on its first draw, so the
+# strategies that depend only on the size n and the generator count k are
+# built once each, not once per example
+@functools.cache
+def _sized(n):
+    """(generators, row, vector) strategies for n coordinates."""
+    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
+    generators = st.lists(matrix | _involution(n), min_size=1, max_size=4)
+    row = st.just([0] * n) | st.lists(_ENTRY, min_size=n, max_size=n)
+    return generators, row, st.lists(_COORDINATE, min_size=n, max_size=n).map(tuple)
+
+
+@functools.cache
+def _nodes(n, k):
+    """(level, held) strategies for n coordinates and k generators."""
+    vector = _sized(n)[2]
+    index, last = st.integers(0, k - 1), st.integers(-1, k - 1)
+    level = st.lists(st.tuples(vector, st.just(0), last))
+    return level, st.lists(st.tuples(vector, index, st.integers(0, 50)))
 
 
 def _reference_level(generators, row, level, seen, held, cut, far):
@@ -387,20 +420,16 @@ def _reference_level(generators, row, level, seen, held, cut, far):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 5), st.data())
 def test_compiled_generator_is_the_matrix(n, data):
-    matrix = st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)
-    generators = data.draw(st.lists(matrix | _involution(n), min_size=1, max_size=4))
-    row = data.draw(st.just([0] * n) | st.lists(_ENTRY, min_size=n, max_size=n))
-    vector = st.lists(_COORDINATE, min_size=n, max_size=n).map(tuple)
-    index = st.integers(0, len(generators) - 1)
-    last = st.integers(-1, len(generators) - 1)
-    level = data.draw(st.lists(st.tuples(vector, st.just(0), last)))
-    held = data.draw(st.lists(st.tuples(vector, index, st.integers(0, 50))))
+    generators, row, vector = _sized(n)
+    generators, row = data.draw(generators), data.draw(row)
+    level, held = _nodes(n, len(generators))
+    level, held = data.draw(level), data.draw(held)
     # seen holds some of the children the level can make, and other vectors
     children = [exact.mat_vec(a, v) for v, _, _ in level for a in generators]
     children += [exact.mat_vec(generators[i], v) for v, i, _ in held]
     seen = data.draw(st.sets(vector | st.sampled_from(children) if children else vector))
     heights = [abs(sum(map(mul, row, c))) for c in children] or [0]
-    cut, far = (data.draw(st.sampled_from(heights) | st.fractions(0, 100)) for _ in range(2))
+    cut, far = (data.draw(st.sampled_from(heights) | _BOUND) for _ in range(2))
 
     want_seen = set(seen)
     want = _reference_level(generators, row, level, want_seen, held, cut, far)
