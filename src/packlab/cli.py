@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import catalog, exponent, lattices, orbit, surfaces
@@ -31,22 +32,26 @@ def _parse_rationals(text: str):
     return [rat(x) for x in text.replace(";", ",").split(",") if x.strip()]
 
 
-def _load_config(args):
-    if getattr(args, "gram_file", None):
-        with open(args.gram_file) as fh:
-            cfg = json.load(fh)
-        return cfg if isinstance(cfg, dict) else {"gram": cfg}
-    return None
+def _read_json(path):
+    """A JSON config, its floats refused: they are not exact."""
+    with open(path) as fh:
+        return json.load(fh, parse_float=_inexact, parse_constant=_inexact)
+
+
+def _inexact(text):
+    raise ConfigError(f"JSON number {text} is not exact; write it as a string such as \"-5/2\"")
 
 
 def _parse_gram(args):
-    cfg = _load_config(args)
-    if cfg is not None:
-        return mat(cfg["gram"])
+    """(Gram, config) from --gram-file, (Gram, {}) from --gram, else (None, {})."""
+    if getattr(args, "gram_file", None):
+        cfg = _read_json(args.gram_file)
+        cfg = cfg if isinstance(cfg, dict) else {"gram": cfg}
+        return mat(cfg["gram"]), cfg
     if getattr(args, "gram", None):
         rows = [r for r in args.gram.split(";") if r.strip()]
-        return mat([[rat(x) for x in row.split(",")] for row in rows])
-    return None
+        return mat([[rat(x) for x in row.split(",")] for row in rows]), {}
+    return None, {}
 
 
 def _seed_from_args(args) -> orbit.Cluster:
@@ -55,8 +60,7 @@ def _seed_from_args(args) -> orbit.Cluster:
         if args.mode_action is not None:
             raise ConfigError("--mode-action is for custom Gram matrices; a catalog seed fixes it")
         return catalog.packing_seed(args.catalog, curvatures=curvatures)
-    cfg = _load_config(args) or {}
-    gram = _parse_gram(args)
+    gram, cfg = _parse_gram(args)
     if gram is None:
         raise ConfigError("pack needs --catalog or --gram/--gram-file")
     p = build_polytope(gram)
@@ -141,7 +145,7 @@ def cmd_lattice(args) -> int:
     if args.name:
         lat = lattices.from_catalog(args.name)
     else:
-        gram = _parse_gram(args)
+        gram, _ = _parse_gram(args)
         if gram is None:
             raise ConfigError("lattice needs --name or --gram/--gram-file")
         lat = lattices.QuadraticLattice(gram, label="custom")
@@ -177,8 +181,7 @@ def _print_matrix(m):
 
 def _surface_model(args) -> surfaces.SurfaceModel:
     if args.model_file:
-        with open(args.model_file) as fh:
-            return surfaces.model_from_config(json.load(fh))
+        return surfaces.model_from_config(_read_json(args.model_file))
     if not args.model:
         raise ConfigError("surface needs --model or --model-file")
     return surfaces.builtin_model(args.model, a=args.a, b=args.b, c=args.c)
@@ -241,7 +244,7 @@ def cmd_dual(args) -> int:
     if args.catalog:
         p = catalog.polytope(args.catalog)
     else:
-        gram = _parse_gram(args)
+        gram, _ = _parse_gram(args)
         if gram is None:
             raise ConfigError("dual needs --catalog or --gram/--gram-file")
         p = build_polytope(gram)
@@ -331,22 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_negative_values(argv):
     """Let value options accept leading-minus values like ``--seed -10,18``."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (
-            tok.startswith("--")
-            and "=" not in tok
-            and nxt is not None
-            and nxt.startswith("-")
-            and len(nxt) > 1
-            and (nxt[1].isdigit() or nxt[1] == ".")
-        ):
-            out.append(f"{tok}={nxt}")
-            skip = True
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out

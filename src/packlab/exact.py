@@ -133,6 +133,12 @@ def congruent(b: Matrix, g: Matrix) -> Matrix:
     return mat_mul(transpose(b), mat_mul(g, b))
 
 
+def first_mismatch(a: Matrix, b: Matrix):
+    """(i, j, a_ij, b_ij) at the first entry, row by row, where a and b differ; None if none."""
+    entries = ((i, j, x, y) for i, ab in enumerate(zip(a, b)) for j, (x, y) in enumerate(zip(*ab)))
+    return next((e for e in entries if e[2] != e[3]), None)
+
+
 def _gauss_jordan(a: Matrix) -> tuple[Fraction, Matrix | None]:
     """Gauss-Jordan on [a | I] with the first nonzero pivot of each column:
     (det a as the signed pivot product, the inverse), or (0, None) if singular."""

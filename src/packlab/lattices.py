@@ -188,12 +188,8 @@ def verify_isometry(a: Matrix, g1: Matrix, g2: Matrix):
     a, g1, g2 = mat(a), mat(g1), mat(g2)
     if len(a) != len(g1) or len(g1) != len(g2):
         raise PreconditionError("dimension mismatch in verify_isometry")
-    got = exact.congruent(a, g1)
-    for i in range(len(got)):
-        for j in range(len(got)):
-            if got[i][j] != g2[i][j]:
-                return False, (i, j, got[i][j], g2[i][j])
-    return True, None
+    miss = exact.first_mismatch(exact.congruent(a, g1), g2)
+    return miss is None, miss
 
 
 # ---------------------------------------------------------------- catalog

@@ -66,7 +66,7 @@ from typing import Iterator, Optional, Sequence
 from . import exact
 from .coxeter import CoxeterPolytope
 from .errors import (
-    CheckpointError, DimensionError, NormalizationError, PackingError, PreconditionError
+    CheckpointError, ConfigError, DimensionError, NormalizationError, PackingError, PreconditionError
 )
 from .exact import Matrix, Vector, cleared, dot, mat, rat, tight, vec
 from .inversive import EuclideanSphere, SphereVector, sphere_from_row, vector_from_sphere
@@ -127,6 +127,11 @@ class OrbitSystem:
         Gram checks run on plain integers."""
         return cleared(self.normalized_gram)
 
+    def pairings(self, cols) -> list[list]:
+        """x^T rows y for every pair of columns over ``scaled_gram``: (x, y) times d."""
+        prods = [[dot(r, c) for r in self.scaled_gram[0]] for c in cols]
+        return [[dot(x, p) for p in prods] for x in cols]
+
     @cached_property
     def reflections(self) -> tuple[tuple[tuple, tuple], ...]:
         """Wall reflection i as the rank-one update I + a q^T, by ``exact.reflection``
@@ -176,9 +181,8 @@ class Cluster:
         Computed over the integer-cleared basis Gram (one division per
         entry at the end), so integer orbits stay in integer arithmetic.
         """
-        rows, d = self.system.scaled_gram
-        prods = [tuple(dot(r, c) for r in rows) for c in self.cols]
-        return mat([[Fraction(dot(ci, p), d) for p in prods] for ci in self.cols])
+        d = self.system.scaled_gram[1]
+        return mat([[Fraction(x, d) for x in row] for row in self.system.pairings(self.cols)])
 
     def soddy_residual(self) -> Fraction:
         """k^T W k for the cluster curvature vector; zero on every orbit."""
@@ -339,15 +343,12 @@ def with_realization(cluster: Cluster, spheres: Sequence[EuclideanSphere]) -> Cl
         raise PackingError("exact realizations need every weight real")
     vectors = [vector_from_sphere(s) for s in spheres]
     target = cluster.system.normalized_gram
-    for a in range(len(vectors)):
-        for b in range(a, len(vectors)):
-            got = vectors[a].pair(vectors[b])
-            want = target[slots[a]][slots[b]]
-            if got != want:
-                raise PackingError(
-                    f"realization Gram mismatch at pair ({a}, {b}): "
-                    f"inner product {got}, expected {want}"
-                )
+    got = [[x.pair(y) for y in vectors] for x in vectors]
+    miss = exact.first_mismatch(got, [[target[a][b] for b in slots] for a in slots])
+    if miss:
+        raise PackingError(
+            "realization Gram mismatch at pair (%s, %s): inner product %s, expected %s" % miss
+        )
     k = tight(v.coords[0] for v in vectors)
     rows = cleared(exact.transpose([v.coords for v in vectors]))
     return replace(cluster, curvature_seed=k, realization=rows, squares=())
@@ -470,9 +471,6 @@ class PackingOrbit:
         lives; every call returns a new list over them.
         """
         return list(self._euclidean)
-
-
-CERTIFY_PAIRS = 4000  # most pairs certify_integral samples
 
 
 def enumerate_packing(
@@ -643,32 +641,39 @@ def _refuse_non_root(seed: Cluster) -> None:
 
 def certify_integral(orbit: PackingOrbit):
     """Check packing integrality: integer curvatures plus a common integer
-    scale for pairwise inner products.
+    scale for the inner products of every pair of stored spheres.
 
     Returns (integral, exponent, witness): exponent is the least positive
-    integer lambda with lambda * (v_i, v_j) integral over at most
-    CERTIFY_PAIRS evenly spaced pairs; when a curvature is non-integral,
-    integral is False and the witness is that curvature.
+    integer lambda with lambda * (v_i, v_j) integral for every pair, from
+    ``_pairing_exponent``; when a curvature is non-integral, integral is
+    False and the witness is that curvature.
     """
     for c in orbit.curvatures:
         if rat(c).denominator != 1:
             return False, None, c
-    rows, d = orbit.seed.system.scaled_gram
-    cols, lam, first = orbit.spheres, 1, 0
-    n = len(cols)
-    # every step-th pair (a, b), b >= a, in order, none listed: step is rounded
-    # up, so at most CERTIFY_PAIRS pairs, and first counts the pairs before row a
-    step = -(-(n * (n + 1) // 2) // CERTIFY_PAIRS) or 1
-    for a in range(n):
-        for b in range(a + -first % step, n, step):
-            lam = math.lcm(lam, _pairing(cols[a], cols[b], rows, d).denominator)
-        first += n - a
-    return True, lam, None
+    return True, _pairing_exponent(orbit.seed.system, orbit.spheres), None
 
 
-def _pairing(x: Column, y: Column, rows, d) -> Fraction:
-    """(x, y) over the normalized basis Gram, ``scaled_gram``'s rows / d."""
-    return Fraction(sum(map(mul, x, [sum(map(mul, row, y)) for row in rows])), d)
+def _pairing_exponent(system: OrbitSystem, cols) -> int:
+    """The least lambda > 0 with lambda (x, y) integral for every pair of
+    columns.  With c their common denominator and (rows, d) = ``scaled_gram``,
+    (x, y) = (c x)^T rows (c y) / m, m = d c^2, so lambda = m / gcd(m, every
+    numerator).  By bilinearity that gcd is the one over the pairs of any
+    Z-basis of the span of the c x, and only residues mod m matter: the
+    basis is an echelon form of the distinct residues (Euclid on each pivot
+    column), at most rank vectors, and is paired in integers."""
+    c = math.lcm(*{x.denominator for col in cols for x in col})
+    m = system.scaled_gram[1] * c * c
+    if m == 1:  # every residue is zero
+        return 1
+    basis = [(0,) * system.rank] * system.rank  # basis[p]: zero before column p
+    for v in {tuple([x.numerator * (c // x.denominator) % m for x in col]) for col in cols}:
+        for p, b in enumerate(basis):
+            while v[p]:  # (b, v) -> (v, b - q v) keeps their span mod m; v ends zero at p
+                q = b[p] // v[p]
+                b, v = v, tuple([(x - q * y) % m for x, y in zip(b, v)])
+            basis[p] = b
+    return m // math.gcd(m, *chain.from_iterable(system.pairings(basis)))
 
 
 CHECKPOINT_MAGIC = "PACKLAB-CHECKPOINT v2"  # v1 files held cluster frontiers
@@ -715,10 +720,13 @@ def load_checkpoint(path: str):
             return [int(x) for x in parts[1:]]
 
         def column():
-            col = tight(fh.readline().split())
-            if len(col) != meta.get("rank"):
-                raise PreconditionError(f"truncated or corrupt checkpoint: {path}")
-            return col
+            parts = fh.readline().split()
+            try:
+                if len(parts) == meta.get("rank"):
+                    return tight(parts)
+            except ConfigError:  # an entry that is not an exact rational
+                pass
+            raise PreconditionError(f"truncated or corrupt checkpoint: {path}")
 
         spheres = [column() for _ in range(*line("S", 1))]
         size, depth = line("F", 2)

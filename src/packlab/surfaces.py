@@ -287,7 +287,7 @@ def verify_model(model: SurfaceModel) -> ModelReport:
                 CheckResult(
                     name=f"reflection in {tuple(map(str, alpha))} equals {word_label}",
                     passed=ok,
-                    detail="" if ok else f"first mismatch {_first_mismatch(refl, prod)}",
+                    detail="" if ok else _mismatch(refl, prod),
                 )
             )
     if model.reflection_vectors and model.alpha_gram_expected is not None:
@@ -302,18 +302,15 @@ def verify_model(model: SurfaceModel) -> ModelReport:
             CheckResult(
                 name="reflection-vector Gram matrix matches its stated value",
                 passed=ok,
-                detail="" if ok else f"first mismatch {_first_mismatch(got, model.alpha_gram_expected)}",
+                detail="" if ok else _mismatch(got, model.alpha_gram_expected),
             )
         )
     return ModelReport(model=model.name, convention=convention, checks=tuple(checks))
 
 
-def _first_mismatch(a: Matrix, b: Matrix):
-    for i in range(len(a)):
-        for j in range(len(a[0])):
-            if a[i][j] != b[i][j]:
-                return (i, j, str(a[i][j]), str(b[i][j]))
-    return None
+def _mismatch(a: Matrix, b: Matrix) -> str:
+    i, j, x, y = exact.first_mismatch(a, b)
+    return f"first mismatch {(i, j, str(x), str(y))}"
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,34 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys):
         assert "configuration error" in capsys.readouterr().err
 
 
+def test_json_floats_are_config_errors(tmp_path, capsys):
+    # a JSON float is not exact: refused as the file is read, not a TypeError
+    m = builtin_model("baragar_p2p2")
+    model = {
+        "gram": [[str(x) for x in row] for row in m.space.gram],
+        "generators": [[[str(x) for x in row] for row in a] for a in m.generators],
+        "C": ["1", "0", "0"],
+    }
+    path = tmp_path / "config.json"
+    for body, argv in (
+        ('{"gram": [["1", -2.5], [-2.5, "1"]], "seed": ["1", "1"]}', ["pack", "--T", "10"]),
+        ('{"gram": [[1, -1, 0, -1], [-1, 1, -1, 0], [0, -1, 1, -1], [-1, 0, -1, 1]], '
+         '"seed": [-1, 2, 4, 3.0]}', ["pack", "--T", "10"]),
+        ('[[2, -1], [-1, NaN]]', ["lattice"]),
+        (json.dumps({**model, "H": [1e0, 1, 1]}), ["surface"]),
+    ):
+        path.write_text(body)
+        flag = "--model-file" if argv == ["surface"] else "--gram-file"
+        assert run(argv + [flag, str(path)]) == 2, body
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "not exact" in err, err
+    # the same files with exact strings run
+    path.write_text(json.dumps({**model, "H": ["1", "1", "1"]}))
+    assert run(["surface", "--model-file", str(path)]) == 0
+    path.write_text('[[2, "-1"], ["-1", 2]]')
+    assert run(["lattice", "--gram-file", str(path)]) == 0
+
+
 @pytest.mark.parametrize(
     "source, seed",
     [

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -12,10 +13,9 @@ from packlab import catalog, exact
 from packlab.errors import CheckpointError, NormalizationError, PackingError, PreconditionError
 from packlab.inversive import EuclideanSphere, SphereVector, sphere_from_vector
 from packlab.orbit import (
-    CERTIFY_PAIRS,
     Cluster,
     OrbitSystem,
-    _pairing,
+    _pairing_exponent,
     apply_generator,
     certify_integral,
     enumerate_packing,
@@ -423,6 +423,22 @@ def test_checkpoint_format(tmp_path, apollonian_seed):
         pl.load_checkpoint(str(tmp_path / "cut.txt"))
 
 
+def test_corrupt_checkpoint_entry_names_the_file(tmp_path, apollonian_seed):
+    # a sphere entry that is no rational is refused like a short line: both
+    # name the file, neither is a ConfigError about the entry alone
+    with pytest.raises(CheckpointError) as exc:
+        enumerate_packing(apollonian_seed, bound=2000, max_vectors=40,
+                          checkpoint_dir=str(tmp_path), convergence_check=False)
+    with open(exc.value.path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[2].startswith("S ") and len(lines[3].split()) == 4
+    for bad in ("1 2 x 4", "1 2 1/0 4", "1 2 4"):
+        path = tmp_path / "corrupt.txt"
+        path.write_text("\n".join(lines[:3] + [bad] + lines[4:]) + "\n")
+        with pytest.raises(PreconditionError, match="truncated or corrupt checkpoint: .*corrupt.txt"):
+            pl.load_checkpoint(str(path))
+
+
 def test_checkpoint_refuses_another_seed(tmp_path, apollonian_seed):
     with pytest.raises(CheckpointError) as exc:
         enumerate_packing(apollonian_seed, bound=2000, max_vectors=40, checkpoint_dir=str(tmp_path))
@@ -495,37 +511,107 @@ def test_mirror_certify_integral():
     assert integral and exponent == 1
 
 
-def _checked_pairs(orb, monkeypatch):
-    # the (a, b) sphere index pairs certify_integral checks, in order: it
-    # pairs cols[a] with cols[b] through one _pairing call per pair
-    index = {col: i for i, col in enumerate(orb.spheres)}
-    read = []
+def _pair_lcm(system, cols):
+    # the least lambda with lambda (x, y) integral, by brute force over all
+    # n (n + 1) / 2 pairs: each pair's denominator, in integers over the
+    # columns' common denominator c and the Gram's e
+    g = system.normalized_gram
+    c = math.lcm(*(F(x).denominator for col in cols for x in col))
+    e = math.lcm(*(x.denominator for row in g for x in row))
+    m = e * c * c
+    xs = [[int(x * c) for x in col] for col in cols]
+    gy = [[sum(int(a * e) * b for a, b in zip(row, y)) for row in g] for y in xs]
+    return math.lcm(
+        *{m // math.gcd(m, sum(a * b for a, b in zip(x, p))) for i, x in enumerate(xs) for p in gy[i:]}
+    )
 
-    def pairing(x, y, rows, d):
-        read.append((index[x], index[y]))
-        return _pairing(x, y, rows, d)
 
-    monkeypatch.setattr("packlab.orbit._pairing", pairing)
-    assert certify_integral(orb) == (True, 1, None)
-    return read
+# two Boyd-Maxwell packings outside the catalog, A and B: a rank-4 level-2
+# Gram with every weight real, given by (g01, g02, g03, g12, g13, g23), and
+# a root seed; their normalized Grams have denominator 2
+ATLAS = {
+    "A": ((-1, -1, F(-1, 2), F(-1, 2), -1, -1), (-1, 2, 3, 3)),
+    "B": ((-1, F(-1, 2), 0, 0, F(-1, 2), -1), (-1, 3, 7, 8)),
+}
 
 
-def test_certify_integral_checks_at_most_certify_pairs(apollonian_seed, monkeypatch):
-    # every step-th pair (a, b), b >= a, with step rounded up
-    def want(n, cap):
-        pairs = [(a, b) for a in range(n) for b in range(a, n)]
-        return pairs[:: -(-len(pairs) // cap)]
+def _atlas_seed(name):
+    offdiagonal, curvatures = ATLAS[name]
+    g = [[F(1)] * 4 for _ in range(4)]
+    for (a, b), x in zip([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], offdiagonal):
+        g[a][b] = g[b][a] = F(x)
+    return seed_cluster_from_curvatures(pl.build_polytope(g), curvatures)
 
-    orb = enumerate_packing(apollonian_seed, bound=3000)  # 691 spheres, 239086 pairs
-    checked = _checked_pairs(orb, monkeypatch)
-    assert len(checked) <= CERTIFY_PAIRS
-    assert checked == want(691, CERTIFY_PAIRS)
-    small = enumerate_packing(apollonian_seed, bound=100)  # 10 spheres, 55 pairs
-    for cap in (1, 2, 7, 10, 27, 54, 55, 1000):
-        monkeypatch.setattr("packlab.orbit.CERTIFY_PAIRS", cap)
-        checked = _checked_pairs(small, monkeypatch)
-        assert 0 < len(checked) <= cap
-        assert checked == want(10, cap)
+
+@pytest.mark.parametrize(
+    "run, exponent",
+    [
+        (lambda: enumerate_packing(pl.packing_seed("apollonian2"), bound=500), 1),
+        (lambda: enumerate_packing(pl.packing_seed("apollonian3"), bound=20), 1),
+        (lambda: enumerate_packing(pl.packing_seed("boyd"), bound=100), 1),
+        (lambda: enumerate_packing(pl.band_seed(), bound=40, box=((-3, -1), (3, 3))), 1),
+        (lambda: enumerate_packing(_atlas_seed("A"), bound=60), 2),
+        (lambda: enumerate_packing(_atlas_seed("B"), bound=60), 2),
+    ],
+    ids=["apollonian2", "apollonian3", "boyd", "band", "A", "B"],
+)
+def test_certify_integral_is_exact_over_every_pair(run, exponent):
+    orb = run()
+    assert _pair_lcm(orb.seed.system, orb.spheres) == exponent
+    assert certify_integral(orb) == (True, exponent, None)
+
+
+@pytest.mark.parametrize(
+    "offdiagonal, exponent",
+    [
+        ((F(-5, 4),) * 3, 2**14),
+        ((F(-3, 2), -2, F(-7, 3)), 2 * 3**13),
+        ((F(-5, 4), F(-3, 2), F(-7, 3)), 12 * 6**12),
+    ],
+)
+def test_pairing_exponent_is_exact_on_fraction_columns(offdiagonal, exponent):
+    # mirrors-mode triangles with ultraparallel walls: the columns carry
+    # denominators up to the depth-th power of the Gram's
+    a, b, c = offdiagonal
+    p = pl.build_polytope([[1, a, b], [a, 1, c], [b, c, 1]])
+    orb = enumerate_packing(initial_cluster(p, "mirrors"), mode="depth_limited", max_depth=6)
+    assert len(orb.spheres) == 570
+    assert _pairing_exponent(orb.seed.system, orb.spheres) == exponent
+    assert _pair_lcm(orb.seed.system, orb.spheres) == exponent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["A", "B"]),
+    st.lists(
+        st.tuples(*[st.fractions(-6, 6, max_denominator=4)] * 4), min_size=1, max_size=8
+    ),
+)
+def test_pairing_exponent_matches_every_pair_on_any_columns(name, cols):
+    # any columns, not only orbit members: the basis of their residues
+    # must give each pair's exponent
+    system = _atlas_seed(name).system
+    cols = exact.tight(cols)
+    assert _pairing_exponent(system, cols) == _pair_lcm(system, cols)
+
+
+def test_certify_integral_reads_the_one_half_integral_pair():
+    # x and y from two residue classes mod 2 whose pairing is half-integral,
+    # then 100 spheres of a class that pairs integrally with both: (0, 1)
+    # is the only non-integral pair of the 102
+    orb = enumerate_packing(_atlas_seed("A"), bound=300)
+    assert len(orb.spheres) == 1114 and orb.seed.system.scaled_gram[1] == 2
+
+    def of(residue):
+        return [s for s in orb.spheres if tuple(x % 2 for x in s) == residue]
+
+    x, y, zs = of((0, 0, 0, 1))[0], of((1, 0, 0, 0))[0], of((0, 0, 1, 0))[:100]
+    crafted = replace(orb, spheres=(x, y, *zs))
+    assert _pair_lcm(orb.seed.system, crafted.spheres) == 2
+    assert certify_integral(crafted) == (True, 2, None)
+    # without x, or y, every pair is integral
+    assert certify_integral(replace(orb, spheres=(x, *zs))) == (True, 1, None)
+    assert certify_integral(replace(orb, spheres=(y, *zs))) == (True, 1, None)
 
 
 def test_mirror_bounded_detects_cusps():
@@ -640,3 +726,13 @@ def test_generators_match_reflection_matrices(name, mode):
             for j in range(n)
         )
         assert apply_generator(cluster, i).cols == want
+
+
+def test_realization_mismatch_names_the_first_pair():
+    # circle 1 turned a quarter about the outer circle's center still
+    # touches it, but no longer circle 2: (1, 2) is the first pair off
+    c = initial_cluster(pl.polytope("apollonian2"))
+    spheres = list(catalog.FIGURE_SEED_GEOMETRY)
+    spheres[1] = replace(spheres[1], center=(F(0), F(2, 45)))
+    with pytest.raises(PackingError, match=r"mismatch at pair \(1, 2\): inner product .*, expected -1$"):
+        pl.with_realization(c, spheres)

@@ -8,7 +8,7 @@ import pytest
 import packlab as pl
 from packlab import cli, exact
 from packlab.errors import ConfigError, DimensionError, PreconditionError, TruncatedCurveError
-from packlab.lattices import tangent_cluster_gram
+from packlab.lattices import tangent_cluster_gram, verify_isometry
 from packlab.surfaces import (
     SurfaceModel,
     builtin_model,
@@ -392,3 +392,22 @@ def test_zero_norm_reflection_refused():
     # (f, f) = 0 for the fibre class f
     with pytest.raises(PreconditionError, match="zero norm"):
         builtin_model("baragar_p2p2").reflection_matrix((1, 0, 0))
+
+
+def test_failed_checks_name_the_first_mismatch():
+    # verify_model and verify_isometry find the first differing entry, row
+    # by row, with one helper; the report prints its entries as strings
+    m = builtin_model("baragar_p2p2")
+    wrong_word = dataclasses.replace(m, reflection_words=((0, 1, 0), (1,), (1,)))
+    g = [list(row) for row in m.alpha_gram_expected]
+    g[1][2] = g[2][1] = g[1][2] + F(1, 3)
+    wrong_gram = dataclasses.replace(m, alpha_gram_expected=exact.mat(g))
+    assert [c.detail for c in verify_model(wrong_word).checks if not c.passed] == [
+        "first mismatch (0, 1, '0', '4')"
+    ]
+    assert [c.detail for c in verify_model(wrong_gram).checks if not c.passed] == [
+        "first mismatch (1, 2, '22', '67/3')"
+    ]
+    assert verify_isometry([[1, 0], [1, 1]], [[2, -1], [-1, 2]], [[2, -1], [-1, 2]]) == (
+        False, (0, 1, 1, -1)
+    )
