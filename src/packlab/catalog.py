@@ -6,9 +6,12 @@ four-wall matrix cir(1, -1, 0, -1) is Boyd's example of a packing with a
 divergent wall pair; cir(1, -1, -1) is the ideal hyperbolic triangle whose
 mirror orbit is the degenerate n = 1 packing.
 
-The planar seed (-10, 18, 23, 27) ships with its exact geometry: outer
-circle of radius 1/10 about the origin and the three inscribed circles
-with rational centers; all pairwise inner products equal -1 exactly.
+Every catalog seed is ``seed_cluster_from_curvatures`` of one ``_CATALOG``
+entry, so it is realized by the exact Gram-Schmidt of ``with_curvatures``,
+as a custom Gram's seed is.  For the planar seed (-10, 18, 23, 27) that
+realization is ``FIGURE_SEED_GEOMETRY`` exactly: the outer circle of
+radius 1/10 about the origin and three inscribed circles with rational
+centers.  Only ``band_seed`` keeps a given geometry.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .coxeter import CoxeterPolytope, build_polytope
 from .errors import ConfigError
 from .exact import rat
 from .inversive import EuclideanSphere
-from .orbit import Cluster, initial_cluster, seed_cluster_from_curvatures, with_curvatures
+from .orbit import Cluster, seed_cluster_from_curvatures
 
 
 def circulant(first_row) -> list[list[Fraction]]:
@@ -40,7 +43,8 @@ BOYD_GRAM = circulant([1, -1, 0, -1])
 IDEAL_TRIANGLE_GRAM = circulant([1, -1, -1])
 
 # Outer circle (0,0) radius 1/10 plus the three inscribed circles; each
-# center is exact and every tangency is an exact inner product -1.
+# center is exact and every tangency is an exact inner product -1.  The
+# Gram-Schmidt of ``with_curvatures`` gives exactly this figure.
 FIGURE_SEED_CURVATURES = (-10, 18, 23, 27)
 FIGURE_SEED_GEOMETRY = (
     EuclideanSphere(kind="sphere", curvature=Fraction(-10), center=(Fraction(0), Fraction(0))),
@@ -59,53 +63,49 @@ BAND_SEED_GEOMETRY = (
     EuclideanSphere(kind="sphere", curvature=Fraction(1), center=(Fraction(2), Fraction(1))),
 )
 
+# each name and alias -> (Gram, action mode, default seed curvatures)
+_CATALOG = {
+    name: entry
+    for names, entry in (
+        (("apollonian2", "apollonian:n=2"), (apollonian_gram(2), "weights", FIGURE_SEED_CURVATURES)),
+        (("apollonian3", "apollonian:n=3"), (apollonian_gram(3), "weights", (-1, 2, 2, 3, 3))),
+        (("boyd",), (BOYD_GRAM, "weights", (-1, 2, 4, 3))),
+        (("ideal-triangle", "triangle"), (IDEAL_TRIANGLE_GRAM, "mirrors", (2, 2, -1))),
+    )
+    for name in names
+}
+
+
+def _entry(name: str):
+    entry = _CATALOG.get(name.lower().replace("_", "-"))
+    if entry is None:
+        raise ConfigError(
+            f"unknown catalog polytope {name!r}; available: apollonian2, apollonian3, "
+            "boyd, ideal-triangle"
+        )
+    return entry
+
 
 def polytope(name: str) -> CoxeterPolytope:
-    key = name.lower().replace("_", "-")
-    if key in ("apollonian2", "apollonian:n=2"):
-        return build_polytope(apollonian_gram(2))
-    if key in ("apollonian3", "apollonian:n=3"):
-        return build_polytope(apollonian_gram(3))
-    if key == "boyd":
-        return build_polytope(BOYD_GRAM)
-    if key in ("ideal-triangle", "triangle"):
-        return build_polytope(IDEAL_TRIANGLE_GRAM)
-    raise ConfigError(
-        f"unknown catalog polytope {name!r}; available: apollonian2, apollonian3, "
-        "boyd, ideal-triangle"
-    )
+    return build_polytope(_entry(name)[0])
 
 
 def packing_seed(name: str, curvatures=None) -> Cluster:
     """A ready cluster for a catalog name, optionally with custom curvatures.
 
-    apollonian2 defaults to the (-10, 18, 23, 27) quadruple with exact
-    geometry; apollonian3 to (-1, 2, 2, 3, 3); boyd to the bounded integer
-    quadruple (-1, 2, 4, 3); ideal-triangle (mirror action) to (2, 2, -1).
+    apollonian2 defaults to the (-10, 18, 23, 27) quadruple; apollonian3 to
+    (-1, 2, 2, 3, 3); boyd to the bounded integer quadruple (-1, 2, 4, 3);
+    ideal-triangle (mirror action) to (2, 2, -1).
     """
-    key = name.lower().replace("_", "-")
-    p = polytope(name)
-    if key in ("apollonian2", "apollonian:n=2"):
-        if curvatures is None or tuple(map(rat, curvatures)) == tuple(
-            map(rat, FIGURE_SEED_CURVATURES)
-        ):
-            return seed_cluster_from_curvatures(
-                p, FIGURE_SEED_CURVATURES, realization=FIGURE_SEED_GEOMETRY
-            )
-        return seed_cluster_from_curvatures(p, curvatures)
-    if key in ("apollonian3", "apollonian:n=3"):
-        return seed_cluster_from_curvatures(p, curvatures or (-1, 2, 2, 3, 3))
-    if key == "boyd":
-        return seed_cluster_from_curvatures(p, curvatures or (-1, 2, 4, 3))
-    if key in ("ideal-triangle", "triangle"):
-        c = initial_cluster(p, mode="mirrors")
-        return with_curvatures(c, curvatures or (2, 2, -1))
-    raise ConfigError(f"unknown catalog packing {name!r}")
+    gram, mode, default = _entry(name)
+    curvatures = default if curvatures is None else curvatures
+    return seed_cluster_from_curvatures(build_polytope(gram), curvatures, mode=mode)
 
 
 def band_seed() -> Cluster:
-    """The unbounded band packing: two parallel lines and two unit circles."""
-    p = polytope("apollonian2")
+    """The unbounded band packing: two parallel lines and two unit circles.
+    Unlike the catalog seeds it keeps its given geometry,
+    ``BAND_SEED_GEOMETRY``, the placement that box counts are written for."""
     return seed_cluster_from_curvatures(
-        p, BAND_SEED_CURVATURES, realization=BAND_SEED_GEOMETRY
+        polytope("apollonian2"), BAND_SEED_CURVATURES, realization=BAND_SEED_GEOMETRY
     )

@@ -42,6 +42,11 @@ def _inexact(text):
     raise ConfigError(f"JSON number {text} is not exact; write it as a string such as \"-5/2\"")
 
 
+def _parse_matrix(text: str):
+    """An exact matrix from rows 'a,b;c,d'; an empty entry is refused, a blank row skipped."""
+    return mat([[rat(x) for x in row.split(",")] for row in text.split(";") if row.strip()])
+
+
 def _parse_gram(args):
     """(Gram, config) from --gram-file, (Gram, {}) from --gram, else (None, {})."""
     if getattr(args, "gram_file", None):
@@ -49,8 +54,7 @@ def _parse_gram(args):
         cfg = cfg if isinstance(cfg, dict) else {"gram": cfg}
         return mat(cfg["gram"]), cfg
     if getattr(args, "gram", None):
-        rows = [r for r in args.gram.split(";") if r.strip()]
-        return mat([[rat(x) for x in row.split(",")] for row in rows]), {}
+        return _parse_matrix(args.gram), {}
     return None, {}
 
 
@@ -164,8 +168,7 @@ def cmd_lattice(args) -> int:
         _print_matrix(ev.gram)
         printed = True
     if args.basis:
-        rows = [r for r in args.basis.split(";") if r.strip()]
-        basis = mat([[rat(x) for x in row.split(",")] for row in rows])
+        basis = _parse_matrix(args.basis)
         print("Gram in the given basis:")
         _print_matrix(lattices.gram_in_basis(lat, basis, sublattice=args.sublattice))
         printed = True

@@ -59,9 +59,13 @@ def vec(entries: Iterable) -> Vector:
 
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
+    """An exact matrix; rows of different lengths raise ConfigError."""
     m = tuple(vec(r) for r in rows)
-    if m and any(len(r) != len(m[0]) for r in m):
-        raise ValueError("ragged matrix")
+    bad = next((i for i, r in enumerate(m) if len(r) != len(m[0])), None)
+    if bad is not None:
+        raise ConfigError(
+            f"ragged matrix: row {bad} has {len(m[bad])} entries, row 0 has {len(m[0])}"
+        )
     return m
 
 
@@ -112,7 +116,7 @@ def reflection(gram: Matrix, alpha) -> tuple[tuple, tuple]:
     norm = dot(alpha, q)
     if norm == 0:
         raise PreconditionError("reflection vector has zero norm")
-    d = denominator_lcm(q)
+    d = math.lcm(*(x.denominator for x in q))
     t = Fraction(d, math.gcd(*(int(x * d) for x in q)))
     return tight(-2 * x / (t * norm) for x in alpha), tight(t * x for x in q)
 
@@ -228,16 +232,9 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return inertia(a)[1] == 0
 
 
-def denominator_lcm(entries: Iterable[Fraction]) -> int:
-    d = 1
-    for x in entries:
-        d = d * x.denominator // math.gcd(d, x.denominator)
-    return d
-
-
 def cleared(a: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Integer rows and the least common denominator d with a = rows / d."""
-    d = denominator_lcm(x for row in a for x in row)
+    d = math.lcm(*(x.denominator for row in a for x in row))
     return tuple(tuple(int(x * d) for x in row) for row in a), d
 
 

@@ -8,12 +8,14 @@ comparisons; no genus computation is attempted.
 Catalog grammar (case sensitive): ``<k>`` rank-1, ``U`` hyperbolic plane,
 ``An`` root lattice, ``Anv`` its dual, ``E8``, ``Apn`` the rank-(n+2)
 tangent-cluster lattice (unit diagonal, off-diagonal -1), ``Apn.ev`` its
-even sublattice, ``Apn.perp`` the integralized dual cir(n-1, -1, ..., -1);
+even sublattice, ``Apn.perp`` the integralized dual ``rescale(dual,
+dual_exponent)``, which is cir(n-1, -1, ..., -1);
 any name may carry a rational scale suffix like ``U(2)`` or ``A3v(4)``.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +112,7 @@ def dual_exponent(lat: QuadraticLattice) -> int:
     by it is the integralization L^perp = int(L^dual) = L^dual(t).
     """
     _require_integral(lat, "dual_exponent")
-    return exact.denominator_lcm(x for row in dual_gram(lat) for x in row)
+    return math.lcm(*(x.denominator for row in dual_gram(lat) for x in row))
 
 
 def discriminant_group(lat: QuadraticLattice) -> DiscriminantGroup:
@@ -263,12 +265,7 @@ def _catalog_base(base: str) -> QuadraticLattice:
         if m.group(2) == ".ev":
             return even_sublattice(core)
         if m.group(2) == ".perp":
-            # integralized dual: cir(n-1, -1, ..., -1)
-            size = n + 2
-            g = [
-                [Fraction(n - 1) if i == j else Fraction(-1) for j in range(size)]
-                for i in range(size)
-            ]
-            return QuadraticLattice(g, label=f"Ap{n}.perp")
+            perp = rescale(QuadraticLattice(dual_gram(core)), dual_exponent(core))
+            return QuadraticLattice(perp.gram, label=f"Ap{n}.perp")
         return core
     raise ConfigError(f"unknown catalog lattice {base!r}")

@@ -649,7 +649,7 @@ def certify_integral(orbit: PackingOrbit):
     False and the witness is that curvature.
     """
     for c in orbit.curvatures:
-        if rat(c).denominator != 1:
+        if c.denominator != 1:
             return False, None, c
     return True, _pairing_exponent(orbit.seed.system, orbit.spheres), None
 

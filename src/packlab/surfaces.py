@@ -7,7 +7,10 @@ with |(H, C')| <= T; for a geometrically finite non-elementary group this
 grows like c T^delta with delta the Hausdorff dimension of the limit
 set, so a log-log fit of the counting curve estimates delta.
 
-Built-in models:
+Built-in models are model configs read by ``model_from_config``, as a
+``--model-file`` is, so they pass the same alphas/words checks; each
+Baragar model then gets the stated Gram matrix of its reflection vectors,
+which ``verify_model`` checks too:
 
 * ``baragar_p2p2``: the degree-(2,2) K3 surface in P^2 x P^2 with Picard
   basis (f, s, r); the two deck involutions and the elliptic negation
@@ -22,7 +25,8 @@ Built-in models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -124,66 +128,50 @@ class ModelReport:
         return "\n".join(lines)
 
 
-def _p2p2() -> SurfaceModel:
-    gram = [[0, 1, 2], [1, -2, 3], [2, 3, -2]]
-    a1 = [[-1, 0, 0], [3, 0, 1], [3, 1, 0]]
-    a2 = [[1, 4, 0], [0, -1, 0], [0, 1, 1]]
-    a3 = [[1, 0, 14], [0, 1, 4], [0, 0, -1]]
-    alphas = ((-4, 13, 10), (4, -2, 1), (7, 2, -1))
-    expected = exact.mat_scale(
-        mat(
-            [
-                [1, Fraction(-13, 2), -10],
-                [Fraction(-13, 2), 1, -1],
-                [-10, -1, 1],
-            ]
+# name -> (model config, stated Gram matrix of its reflection vectors)
+_BARAGAR = {
+    "baragar_p2p2": (
+        {
+            "name": "baragar_p2p2",
+            "gram": [[0, 1, 2], [1, -2, 3], [2, 3, -2]],
+            "generators": [
+                [[-1, 0, 0], [3, 0, 1], [3, 1, 0]],
+                [[1, 4, 0], [0, -1, 0], [0, 1, 1]],
+                [[1, 0, 14], [0, 1, 4], [0, 0, -1]],
+            ],
+            "labels": ["f", "s", "r"],
+            "generator_labels": ["deck1", "deck2", "negation"],
+            "H": [1, 1, 1],
+            "C": [1, 0, 0],
+            "alphas": [[-4, 13, 10], [4, -2, 1], [7, 2, -1]],
+            "words": [[0, 1, 0], [1], [2]],
+        },
+        exact.mat_scale(
+            mat([[1, Fraction(-13, 2), -10], [Fraction(-13, 2), 1, -1], [-10, -1, 1]]), -22
         ),
-        -22,
-    )
-    return SurfaceModel(
-        name="baragar_p2p2",
-        space=QuadraticSpace(mat(gram)),
-        basis_labels=("f", "s", "r"),
-        generators=(mat(a1), mat(a2), mat(a3)),
-        generator_labels=("deck1", "deck2", "negation"),
-        ample=vec((1, 1, 1)),
-        seed_class=vec((1, 0, 0)),
-        reflection_vectors=tuple(vec(a) for a in alphas),
-        reflection_words=((0, 1, 0), (1,), (2,)),
-        alpha_gram_expected=expected,
-    )
-
-
-def _b222() -> SurfaceModel:
-    gram = [[0, 2, 2, 0], [2, 0, 2, 0], [2, 2, 0, 1], [0, 0, 1, -2]]
-    a12 = [[1, 0, 2, 0], [0, 1, 2, 0], [0, 0, -1, 0], [0, 0, -1, 1]]
-    a13 = [[1, 2, 0, 1], [0, -1, 0, 0], [0, 2, 1, 0], [0, 0, 0, -1]]
-    a23 = [[-1, 0, 0, 0], [2, 1, 0, 1], [2, 0, 1, 0], [0, 0, 0, -1]]
-    a4 = [[-1, 0, 0, 0], [0, -1, 0, 0], [8, 8, 1, 0], [4, 4, 0, 1]]
-    alphas = ((-2, -2, 2, 1), (-5, 2, -2, -1), (2, -5, -2, -1), (2, 2, -30, -15))
-    expected = exact.mat_scale(
-        mat(
-            [
-                [1, -1, -1, -15],
-                [-1, 1, -6, -13],
-                [-1, -6, 1, -13],
-                [-15, -13, -13, 1],
-            ]
+    ),
+    "baragar_222": (
+        {
+            "name": "baragar_222",
+            "gram": [[0, 2, 2, 0], [2, 0, 2, 0], [2, 2, 0, 1], [0, 0, 1, -2]],
+            "generators": [
+                [[1, 0, 2, 0], [0, 1, 2, 0], [0, 0, -1, 0], [0, 0, -1, 1]],
+                [[1, 2, 0, 1], [0, -1, 0, 0], [0, 2, 1, 0], [0, 0, 0, -1]],
+                [[-1, 0, 0, 0], [2, 1, 0, 1], [2, 0, 1, 0], [0, 0, 0, -1]],
+                [[-1, 0, 0, 0], [0, -1, 0, 0], [8, 8, 1, 0], [4, 4, 0, 1]],
+            ],
+            "labels": ["f1", "f2", "f3", "r"],
+            "generator_labels": ["deck12", "deck13", "deck23", "negation"],
+            "H": [1, 1, 1, 1],
+            "C": [1, 0, 0, 0],
+            "alphas": [[-2, -2, 2, 1], [-5, 2, -2, -1], [2, -5, -2, -1], [2, 2, -30, -15]],
+            "words": [[0], [1, 0, 1], [2, 0, 2], [3, 0, 3]],
+        },
+        exact.mat_scale(
+            mat([[1, -1, -1, -15], [-1, 1, -6, -13], [-1, -6, 1, -13], [-15, -13, -13, 1]]), -14
         ),
-        -14,
-    )
-    return SurfaceModel(
-        name="baragar_222",
-        space=QuadraticSpace(mat(gram)),
-        basis_labels=("f1", "f2", "f3", "r"),
-        generators=(mat(a12), mat(a13), mat(a23), mat(a4)),
-        generator_labels=("deck12", "deck13", "deck23", "negation"),
-        ample=vec((1, 1, 1, 1)),
-        seed_class=vec((1, 0, 0, 0)),
-        reflection_vectors=tuple(vec(a) for a in alphas),
-        reflection_words=((0,), (1, 0, 1), (2, 0, 2), (3, 0, 3)),
-        alpha_gram_expected=expected,
-    )
+    ),
+}
 
 
 def _triangle(a, b, c) -> SurfaceModel:
@@ -191,33 +179,31 @@ def _triangle(a, b, c) -> SurfaceModel:
     if min(a, b, c) < 1:
         raise ConfigError("triangle parameters must be >= 1")
     gram = mat([[1, -a, -b], [-a, 1, -c], [-b, -c, 1]])
-    return SurfaceModel(
-        name=f"triangle({a},{b},{c})",
-        space=QuadraticSpace(gram),
-        basis_labels=("e1", "e2", "e3"),
-        generators=tuple(exact.reflection_matrix(gram, e) for e in exact.identity(3)),
-        generator_labels=("s1", "s2", "s3"),
-        ample=vec((1, 1, 1)),
-        seed_class=vec((1, 0, 0)),
+    return model_from_config(
+        {
+            "name": f"triangle({a},{b},{c})",
+            "gram": gram,
+            "generators": [exact.reflection_matrix(gram, e) for e in identity(3)],
+            "labels": ["e1", "e2", "e3"],
+            "generator_labels": ["s1", "s2", "s3"],
+            "H": [1, 1, 1],
+            "C": [1, 0, 0],
+        }
     )
 
 
 def builtin_model(name: str, a=None, b=None, c=None) -> SurfaceModel:
     key = name.lower().replace("-", "_")
-    if key == "baragar_p2p2":
-        return _p2p2()
-    if key == "baragar_222":
-        return _b222()
-    if key.startswith("triangle"):
-        import re
-
-        m = re.fullmatch(r"triangle\(([^,]+),([^,]+),([^)]+)\)", key.replace(" ", ""))
-        if m:
-            return _triangle(m.group(1), m.group(2), m.group(3))
-        if key == "triangle":
-            if a is None or b is None or c is None:
-                raise ConfigError("triangle model needs parameters a, b, c")
-            return _triangle(a, b, c)
+    if key in _BARAGAR:
+        cfg, alpha_gram = _BARAGAR[key]
+        return replace(model_from_config(cfg), alpha_gram_expected=alpha_gram)
+    m = re.fullmatch(r"triangle\(([^,]+),([^,]+),([^)]+)\)", key.replace(" ", ""))
+    if m:
+        return _triangle(*m.groups())
+    if key == "triangle":
+        if a is None or b is None or c is None:
+            raise ConfigError("triangle model needs parameters a, b, c")
+        return _triangle(a, b, c)
     raise ConfigError(
         f"unknown surface model {name!r}; available: baragar_p2p2, baragar_222, "
         "triangle(a,b,c)"

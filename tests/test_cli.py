@@ -252,6 +252,43 @@ def test_json_floats_are_config_errors(tmp_path, capsys):
     assert run(["lattice", "--gram-file", str(path)]) == 0
 
 
+P2P2_RAGGED = {
+    "gram": [["0", "1", "2"], ["1", "-2", "3"], ["2", "3", "-2"]],
+    "generators": [[["1", "0", "0"], ["0", "1"], ["0", "0", "1"]]],
+    "H": ["1", "1", "1"],
+    "C": ["1", "0", "0"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["pack", "--gram", "1,-1,-1;-1,1,-1;-1,-1", "--seed", "2,2,-1", "--T", "10"], None),
+        (["dual", "--gram", "1,-1,-1;-1,1;-1,-1,1"], None),
+        (["lattice", "--name", "Ap2", "--basis", "1,0,0,0;0,1,0;0,0,1,0;0,0,0,1"], None),
+        (["lattice", "--gram-file"], '[["2", "-1"], ["-1"]]'),
+        (["surface", "--model-file"], json.dumps(P2P2_RAGGED)),
+    ],
+    ids=["pack-gram", "dual-gram", "basis", "gram-file", "model-file"],
+)
+def test_ragged_matrices_are_config_errors(tmp_path, capsys, argv, body):
+    # a row of the wrong length is malformed input: exit 2, not a traceback
+    if body is not None:
+        path = tmp_path / "config.json"
+        path.write_text(body)
+        argv = argv + [str(path)]
+    assert run(argv) == 2
+    assert "configuration error: ragged matrix" in capsys.readouterr().err
+
+
+def test_matrix_options_refuse_empty_entries(capsys):
+    # --gram and --basis share one parser: a blank row is skipped, an empty entry refused
+    assert run(["lattice", "--gram", "2,-1;-1,2;", "--discriminant"]) == 0
+    for argv in (["lattice", "--gram", "2,,-1;-1,2"], ["lattice", "--name", "U", "--basis", "1,0;,1"]):
+        assert run(argv) == 2
+        assert "'' is not an exact rational" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "source, seed",
     [

@@ -68,6 +68,15 @@ def test_soddy_rejection():
     seed_cluster_from_curvatures(p, (0, 0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "alias, name",
+    [("apollonian:n=2", "apollonian2"), ("apollonian:n=3", "apollonian3"), ("triangle", "ideal-triangle")],
+)
+def test_catalog_alias_is_its_name(alias, name):
+    assert pl.polytope(alias) == pl.polytope(name)
+    assert pl.packing_seed(alias) == pl.packing_seed(name)
+
+
 def test_realization_mismatch_names_pair():
     p = pl.polytope("apollonian2")
     bad = list(catalog.FIGURE_SEED_GEOMETRY)

@@ -6,14 +6,31 @@ from fractions import Fraction as F
 from operator import mul
 
 import packlab as pl
-from packlab.orbit import _square_free, initial_cluster, with_curvatures
+from packlab import catalog
+from packlab.orbit import _square_free, initial_cluster, seed_cluster_from_curvatures, with_curvatures
+
+
+def test_catalog_seed_is_the_figure_geometry():
+    # the apollonian2 catalog seed is the Gram-Schmidt realization of its
+    # curvatures, and that is the shipped figure exactly: the same integer
+    # rows over the same denominator
+    p = pl.polytope("apollonian2")
+    given = seed_cluster_from_curvatures(
+        p, catalog.FIGURE_SEED_CURVATURES, realization=catalog.FIGURE_SEED_GEOMETRY
+    )
+    assert pl.packing_seed("apollonian2") == given
+    assert given.realization[1] == 200
 
 
 def test_gram_schmidt_matches_given_geometry_up_to_isometry():
-    # the apollonian2 catalog seed ships rational geometry; the Gram-Schmidt
-    # realization of its curvatures is another one, also rational and equal
-    # up to an isometry: same curvatures, same squared centre distances
-    seed = pl.packing_seed("apollonian2")
+    # the Gram-Schmidt realization of the figure seed's curvatures matches
+    # its given rational geometry up to an isometry: same curvatures, same
+    # squared centre distances
+    seed = seed_cluster_from_curvatures(
+        pl.polytope("apollonian2"),
+        catalog.FIGURE_SEED_CURVATURES,
+        realization=catalog.FIGURE_SEED_GEOMETRY,
+    )
     built = with_curvatures(initial_cluster(seed.system.polytope), seed.curvature_seed)
     assert built.squares == ()
     orb = pl.enumerate_packing(seed, bound=3000)

@@ -9,7 +9,7 @@ import pytest
 
 import packlab as pl
 from packlab import cli
-from packlab.errors import PreconditionError
+from packlab.errors import DimensionError, PreconditionError
 
 
 def test_count_above_the_run_bound_is_refused(apollonian_seed):
@@ -180,13 +180,21 @@ def test_irrational_geometry_is_refused_where_it_would_be_wrong():
         pl.enumerate_packing(seed, bound=20, box=((-1, -1), (1, 1)))
 
 
+@pytest.mark.parametrize("name", ["apollonian2", "boyd", "ideal-triangle"])
+def test_empty_seed_curvatures_are_refused(name):
+    # an explicit empty seed is malformed, not a request for the default one
+    with pytest.raises(DimensionError, match="got 0"):
+        pl.packing_seed(name, curvatures=[])
+
+
 def test_given_geometry_skips_the_gram_schmidt(monkeypatch):
-    # a seed with rational geometry keeps it; only curvature-only seeds are realized
+    # the band seed keeps its given geometry; every catalog seed is realized
     def fail(*args):
         raise AssertionError("Gram-Schmidt run for a seed with given geometry")
 
     monkeypatch.setattr(pl.orbit, "_gram_schmidt", fail)
-    for seed in (pl.packing_seed("apollonian2"), pl.band_seed()):
-        assert seed.squares == () and seed.realization is not None
-    with pytest.raises(AssertionError):
-        pl.packing_seed("boyd")
+    seed = pl.band_seed()
+    assert seed.squares == () and seed.realization is not None
+    for name in ("apollonian2", "boyd"):
+        with pytest.raises(AssertionError):
+            pl.packing_seed(name)
