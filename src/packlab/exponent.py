@@ -34,6 +34,11 @@ class CountCurve:
     def __post_init__(self):
         if len(self.ts) != len(self.ns):
             raise PreconditionError("grid and counts have different lengths")
+        # a NaN would pass the ordering check below: NaN <= t is False
+        if not all(map(math.isfinite, self.ts)):
+            raise PreconditionError("grid thresholds must be finite")
+        if any(n < 0 for n in self.ns):
+            raise PreconditionError("counts must be nonnegative")
         if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
             raise PreconditionError("grid must be strictly increasing")
         if any(b < a for a, b in zip(self.ns, self.ns[1:])):

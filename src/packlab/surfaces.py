@@ -247,10 +247,12 @@ def verify_model(model: SurfaceModel) -> ModelReport:
     action conventions), reflection vectors against their matrices, and
     the Gram matrix of the reflection vectors against its expected value.
     """
-    g = model.space.gram
-    column = [exact.congruent(a, g) == g for a in model.generators]
+    # every comparison runs on ``tight`` values, ints wherever entries are integral
+    g = tight(model.space.gram)
+    gens = tight(model.generators)
+    column = [exact.congruent(a, g) == g for a in gens]
     row_ok = not all(column) and all(
-        exact.mat_mul(a, exact.mat_mul(g, exact.transpose(a))) == g for a in model.generators
+        exact.mat_mul(a, exact.mat_mul(g, exact.transpose(a))) == g for a in gens
     )
     convention = "column" if all(column) else ("row" if row_ok else "none")
     checks = [
@@ -263,10 +265,10 @@ def verify_model(model: SurfaceModel) -> ModelReport:
     ]
     if model.reflection_vectors and model.reflection_words:
         for alpha, word in zip(model.reflection_vectors, model.reflection_words):
-            refl = model.reflection_matrix(alpha)
-            prod = exact.identity(model.rank)
+            refl = tight(model.reflection_matrix(alpha))
+            prod = tight(identity(model.rank))
             for idx in word:
-                prod = exact.mat_mul(prod, model.generators[idx])
+                prod = exact.mat_mul(prod, gens[idx])
             ok = refl == prod
             word_label = "*".join(model.generator_labels[i] for i in word)
             checks.append(
@@ -277,18 +279,15 @@ def verify_model(model: SurfaceModel) -> ModelReport:
                 )
             )
     if model.reflection_vectors and model.alpha_gram_expected is not None:
-        got = mat(
-            [
-                [model.inner(x, y) for y in model.reflection_vectors]
-                for x in model.reflection_vectors
-            ]
-        )
-        ok = got == model.alpha_gram_expected
+        alphas = tight(model.reflection_vectors)
+        got = tuple(tuple(exact.dot(x, exact.mat_vec(g, y)) for y in alphas) for x in alphas)
+        expected = tight(model.alpha_gram_expected)
+        ok = got == expected
         checks.append(
             CheckResult(
                 name="reflection-vector Gram matrix matches its stated value",
                 passed=ok,
-                detail="" if ok else _mismatch(got, model.alpha_gram_expected),
+                detail="" if ok else _mismatch(got, expected),
             )
         )
     return ModelReport(model=model.name, convention=convention, checks=tuple(checks))

@@ -205,6 +205,26 @@ def test_fit_too_few_points(tmp_path):
     assert run(["fit", "--counts", str(counts)]) == 3
 
 
+@pytest.mark.parametrize(
+    "where, row, refusal",
+    [
+        (1, "nan,31", "grid thresholds must be finite"),
+        (14, "inf,23446872", "grid thresholds must be finite"),
+        (0, "5,-2", "counts must be nonnegative"),
+    ],
+)
+def test_fit_refuses_non_finite_or_negative_rows(tmp_path, capsys, where, row, refusal):
+    # each bad row keeps the grid ordered and the counts nondecreasing
+    counts = tmp_path / "counts.csv"
+    body = [f"{10 * 2 ** j},{int((10 * 2 ** j) ** 1.5)}" for j in range(14)]
+    body.insert(where, row)
+    counts.write_text("\n".join(["T,N", *body]) + "\n")
+    assert run(["fit", "--counts", str(counts), "--window-decades", "3"]) == 3
+    captured = capsys.readouterr()
+    assert f"precondition failed: {refusal}" in captured.err
+    assert "delta_hat" not in captured.out
+
+
 def test_malformed_numbers_are_config_errors(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("T,N\n10,1,3\n")

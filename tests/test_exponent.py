@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -57,6 +58,22 @@ def test_fit_constant_curve():
     ts = dyadic_grid(1, 10**4)
     est = fit_exponent(CountCurve(ts=tuple(ts), ns=(5,) * len(ts)), window_decades=3)
     assert est.delta_hat == 0
+
+
+@pytest.mark.parametrize(
+    "ts, ns, match",
+    [
+        ((10.0, float("nan"), 40.0), (1, 2, 3), "finite"),
+        ((float("nan"), 20.0, 40.0), (1, 2, 3), "finite"),
+        ((10.0, 20.0, float("inf")), (1, 2, 3), "finite"),
+        ((float("-inf"), 20.0, 40.0), (1, 2, 3), "finite"),
+        ((10.0, 20.0, 40.0), (-1, 2, 3), "nonnegative"),
+    ],
+)
+def test_count_curve_refuses_non_finite_thresholds_and_negative_counts(ts, ns, match):
+    # NaN compares False both ways, so the ordering check alone lets it through
+    with pytest.raises(PreconditionError, match=match):
+        CountCurve(ts=ts, ns=ns)
 
 
 def test_fit_scale_equivariance():
@@ -142,6 +159,76 @@ def test_import_leaves_numpy_out():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def _fresh_modules(build: str) -> set:
+    """packlab modules a fresh interpreter has loaded after ``import packlab; build``."""
+    code = (
+        f"import sys, packlab\n{build}\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'packlab'))"
+    )
+    src = os.path.dirname(os.path.dirname(pl.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_layer():
+    assert _fresh_modules("") == {"packlab"}
+    assert _fresh_modules("packlab.orbit.enumerate_packing") >= {"packlab.orbit", "packlab.walk"}
+    surface = _fresh_modules("packlab.builtin_model('baragar_222')")
+    assert "packlab.surfaces" in surface
+    packing = _fresh_modules("packlab.packing_seed('apollonian2')")
+    assert "packlab.catalog" in packing
+    for layer in ("catalog", "coxeter", "orbit", "inversive", "lattices", "cli"):
+        assert f"packlab.{layer}" not in surface
+    for layer in ("surfaces", "lattices", "exponent", "cli"):
+        assert f"packlab.{layer}" not in packing
+
+
+def test_namespace_reads_each_submodule():
+    # the 66 names the package exported when it imported every layer eagerly
+    names = {
+        "catalog": "band_seed packing_seed polytope",
+        "coxeter": "CoxeterPolytope build_polytope dual_polytope is_packing_polytope "
+        "maxwell_level reflection_in_normal_basis reflection_in_weight_basis",
+        "errors": "CheckpointError ConfigError PackingError PacklabError PreconditionError "
+        "TruncatedCurveError",
+        "exponent": "CountCurve ExponentEstimate PowerSum counting_function curve_from_orbit "
+        "dyadic_grid fit_exponent power_sum",
+        "inversive": "EuclideanSphere SphereVector classify_pair render_svg sphere_from_vector "
+        "vector_from_sphere",
+        "lattices": "DiscriminantGroup QuadraticLattice discriminant_group dual_exponent "
+        "dual_gram even_sublattice from_catalog gram_in_basis rescale verify_isometry",
+        "lorentz": "QuadraticSpace hyperbolic_distance hyperplane_distance inner signature "
+        "sphere_space",
+        "orbit": "Cluster PackingOrbit apply_generator certify_integral enumerate_packing "
+        "initial_cluster iter_clusters load_checkpoint resume_enumeration "
+        "seed_cluster_from_curvatures with_curvatures with_realization",
+        "surfaces": "ModelReport OrbitCount SurfaceModel builtin_model "
+        "estimate_surface_exponent model_from_config orbit_count verify_model",
+    }
+    home = {name: module for module, text in names.items() for name in text.split()}
+    assert len(home) == 66
+    assert sorted(pl.__all__) == sorted(home)
+    assert set(home) <= set(dir(pl))
+    for name, module in home.items():
+        assert getattr(pl, name) is getattr(importlib.import_module(f"packlab.{module}"), name)
+    for module in (*names, "exact", "walk"):
+        assert getattr(pl, module) is importlib.import_module(f"packlab.{module}")
+        assert module in dir(pl)
+    with pytest.raises(AttributeError, match="'packlab' has no attribute 'no_such_name'"):
+        pl.no_such_name
+
+
+def test_namespace_reads_a_patched_function(monkeypatch):
+    original = pl.surfaces.verify_model
+    monkeypatch.setattr(pl.surfaces, "verify_model", lambda model: None)
+    assert pl.verify_model is pl.surfaces.verify_model is not original
+    monkeypatch.undo()
+    assert pl.verify_model is original
 
 
 def test_fit_matches_least_squares_reference(apollonian_seed):
